@@ -265,12 +265,10 @@ std::pair<double, double> socket_fetch_throughput(std::size_t sample_bytes,
 /// kFetch requests in flight on the single reactor connection via the
 /// ticket API (fetch_sample_start/finish), so the wire carries a request
 /// train instead of strict request/reply ping-pong.  This isolates the
-/// reactor's pipelining win from caller-thread concurrency — and it is the
-/// workload where the event-loop backend matters most, so the JSON mode
-/// reports it once per backend (both endpoints run on `backend`).  Returns
+/// reactor's pipelining win from caller-thread concurrency.  Returns
 /// fetches per second.
 double socket_fetch_pipelined_throughput(std::size_t sample_bytes, int fetches,
-                                         int depth, net::ReactorBackend backend) {
+                                         int depth) {
   const std::uint16_t port = net::pick_free_port();
   std::unique_ptr<net::SocketTransport> server;
   std::thread server_thread([&] {
@@ -280,7 +278,6 @@ double socket_fetch_pipelined_throughput(std::size_t sample_bytes, int fetches,
       options.world_size = 2;
       options.rendezvous_port = port;
       options.timeout_s = 30.0;
-      options.reactor_backend = backend;
       server = std::make_unique<net::SocketTransport>(options);
       server->set_serve_handler(
           [sample_bytes](std::uint64_t id) -> std::optional<net::Bytes> {
@@ -298,7 +295,6 @@ double socket_fetch_pipelined_throughput(std::size_t sample_bytes, int fetches,
     options.world_size = 2;
     options.rendezvous_port = port;
     options.timeout_s = 30.0;
-    options.reactor_backend = backend;
     net::SocketTransport client(options);
     client.barrier();
     const double start = now_s();
@@ -331,21 +327,19 @@ double socket_fetch_pipelined_throughput(std::size_t sample_bytes, int fetches,
 /// thread post()s a train of tasks and waits for the last to run (FIFO
 /// order makes the last task the completion marker).  This prices the
 /// eventfd wake + task-queue handoff every transport operation pays before
-/// any socket I/O happens.  Measured on the epoll backend so the key is
-/// comparable on runners without io_uring; the queue machinery is shared
-/// ReactorCore code either way.  Returns posts per second.
+/// any socket I/O happens.  Returns posts per second.
 double reactor_posts_throughput(int posts) {
-  auto reactor = net::make_reactor(net::ReactorBackend::kEpoll);
-  reactor->start();
+  net::Reactor reactor;
+  reactor.start();
   std::mutex mutex;
   std::condition_variable cv;
   bool finished = false;
   const double start = now_s();
   for (int i = 0; i < posts; ++i) {
     if (i + 1 < posts) {
-      reactor->post([] {});
+      reactor.post([] {});
     } else {
-      reactor->post([&] {
+      reactor.post([&] {
         {
           const std::scoped_lock lock(mutex);
           finished = true;
@@ -359,7 +353,7 @@ double reactor_posts_throughput(int posts) {
     cv.wait(lock, [&] { return finished; });
   }
   const double elapsed = now_s() - start;
-  reactor->stop();
+  reactor.stop();
   return elapsed > 0.0 ? posts / elapsed : 0.0;
 }
 
@@ -584,8 +578,7 @@ int run_json_mode(const std::string& path) {
   // SocketTransport loopback round-trips (the multi-process backend's hot
   // path): small-sample RPC rate at the transport's operating point (8
   // concurrent caller threads sharing the reactor connection, as loader
-  // threads do), single-caller pipelined rate per reactor backend (ticket
-  // API, depth 64; epoll always, io_uring where the kernel grants rings),
+  // threads do), single-caller pipelined rate (ticket API, depth 64),
   // large-sample streaming rate, and the SharedPfs contention protocol's
   // acquire/release cycle rate.  These gate the PR, so each takes the best
   // of 3 runs long enough (thousands of round-trips) that scheduler noise
@@ -597,21 +590,9 @@ int run_json_mode(const std::string& path) {
     small_mbps = std::max(small_mbps, mbps);
     return per_s;
   });
-  // The pipelined rate is the backend-sensitive key, so it is measured per
-  // event-loop backend: epoll always, io_uring only where the kernel
-  // grants rings (the key is then absent, which compare_bench.py treats as
-  // a notice, not a failure — CI runner kernels vary).
   const double pipelined_epoll_per_s = best_of(3, [&] {
-    return socket_fetch_pipelined_throughput(4 * 1024, 16'000, 64,
-                                             net::ReactorBackend::kEpoll);
+    return socket_fetch_pipelined_throughput(4 * 1024, 16'000, 64);
   });
-  const bool io_uring_ok = net::io_uring_available();
-  const double pipelined_io_uring_per_s =
-      io_uring_ok ? best_of(3, [&] {
-        return socket_fetch_pipelined_throughput(4 * 1024, 16'000, 64,
-                                                 net::ReactorBackend::kIoUring);
-      })
-                  : 0.0;
   const double reactor_posts_per_s =
       best_of(3, [&] { return reactor_posts_throughput(200'000); });
   const double large_per_s = best_of(3, [&] {
@@ -677,7 +658,6 @@ int run_json_mode(const std::string& path) {
       << "    \"sweep_cells\": " << points.size() << ",\n"
       << "    \"sweep_serial_fallback\": " << (sweep_serial_fallback ? "true" : "false")
       << ",\n"
-      << "    \"io_uring_available\": " << (io_uring_ok ? "true" : "false") << ",\n"
       << "    \"sweep_service_cells\": " << svc_points.size() << ",\n"
       << "    \"simulate_accesses\": " << static_cast<std::uint64_t>(accesses) << ",\n"
       << "    \"simulate_total_sim_time_s\": " << result.total_s << "\n"
@@ -692,12 +672,8 @@ int run_json_mode(const std::string& path) {
       << "    \"socket-loopback.fetch_4k_per_s\": " << small_per_s << ",\n"
       << "    \"socket-loopback.fetch_4k_mbps\": " << small_mbps << ",\n"
       << "    \"socket-loopback.fetch_4k_pipelined_epoll_per_s\": "
-      << pipelined_epoll_per_s << ",\n";
-  if (io_uring_ok) {
-    out << "    \"socket-loopback.fetch_4k_pipelined_io_uring_per_s\": "
-        << pipelined_io_uring_per_s << ",\n";
-  }
-  out << "    \"reactor.posts_per_s\": " << reactor_posts_per_s << ",\n"
+      << pipelined_epoll_per_s << ",\n"
+      << "    \"reactor.posts_per_s\": " << reactor_posts_per_s << ",\n"
       << "    \"socket-loopback.fetch_1m_per_s\": " << large_per_s << ",\n"
       << "    \"socket-loopback.fetch_1m_mbps\": " << large_mbps << ",\n"
       << "    \"socket-loopback.pfs_cycles_per_s\": " << pfs_cycles_per_s << ",\n"
@@ -714,11 +690,7 @@ int run_json_mode(const std::string& path) {
             << " cells/s (" << svc_points.size()
             << "-cell grid, 1 rank)\nsocket fetch: " << small_per_s
             << " rpc/s @4K(8t), pipelined @4K(64-deep): " << pipelined_epoll_per_s
-            << " rpc/s epoll"
-            << (io_uring_ok
-                    ? ", " + std::to_string(pipelined_io_uring_per_s) + " rpc/s io_uring"
-                    : std::string(" (io_uring unavailable)"))
-            << ", " << large_mbps << " MB/s @1M  |  reactor posts: "
+            << " rpc/s, " << large_mbps << " MB/s @1M  |  reactor posts: "
             << reactor_posts_per_s << "/s  |  pfs acquire/release: "
             << pfs_cycles_per_s << " cycles/s  |  batched gossip: "
             << pfs_gossip_per_s << " transitions/s\ncritpath walks: "

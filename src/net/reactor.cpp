@@ -1,11 +1,11 @@
-// Backend-independent Reactor machinery: detail::ReactorCore (task queue,
-// timers, generation-tagged dispatch), the backend name/parse helpers, the
-// cached io_uring runtime probe, and make_reactor() — kAuto resolves
-// through the probe and falls back to epoll silently; an explicit kIoUring
-// throws where the kernel refuses the ring.
+// Reactor: the level-triggered epoll loop (see reactor.hpp for the
+// contract).  Registrations carry (generation << 32) | fd in
+// epoll_event.data.u64, so dispatch can drop an event whose fd was closed
+// and re-registered within the same epoll_wait batch.
 
-#include "net/reactor_base.hpp"
+#include "net/reactor.hpp"
 
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
@@ -20,105 +20,57 @@
 
 namespace nopfs::net {
 
-const char* to_string(ReactorBackend backend) noexcept {
-  switch (backend) {
-    case ReactorBackend::kAuto:
-      return "auto";
-    case ReactorBackend::kEpoll:
-      return "epoll";
-    case ReactorBackend::kIoUring:
-      return "io_uring";
-  }
-  return "auto";
-}
-
-bool parse_reactor_backend(const std::string& name, ReactorBackend& out) noexcept {
-  if (name == "auto") {
-    out = ReactorBackend::kAuto;
-  } else if (name == "epoll") {
-    out = ReactorBackend::kEpoll;
-  } else if (name == "io_uring" || name == "uring") {
-    out = ReactorBackend::kIoUring;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool io_uring_available() noexcept {
-  // One probe per process: availability cannot change underneath us, and
-  // make_reactor(kAuto) may be on a rendezvous-handshake path.
-  static const bool available = [] {
-    try {
-      return detail::make_io_uring_reactor(1) != nullptr;
-    } catch (const std::exception&) {
-      return false;
-    }
-  }();
-  return available;
-}
-
-std::unique_ptr<Reactor> make_reactor(ReactorBackend backend,
-                                      std::size_t event_batch) {
-  event_batch = std::max<std::size_t>(event_batch, 1);
-  switch (backend) {
-    case ReactorBackend::kEpoll:
-      return detail::make_epoll_reactor(event_batch);
-    case ReactorBackend::kIoUring: {
-      auto reactor = detail::make_io_uring_reactor(event_batch);
-      if (reactor == nullptr) {
-        throw std::runtime_error(
-            "Reactor: io_uring backend not compiled in (NOPFS_WITH_IOURING)");
-      }
-      return reactor;
-    }
-    case ReactorBackend::kAuto:
-      break;
-  }
-  if (io_uring_available()) {
-    try {
-      if (auto reactor = detail::make_io_uring_reactor(event_batch)) {
-        return reactor;
-      }
-    } catch (const std::exception& ex) {
-      // The probe passed but this ring failed (e.g. a memlock limit under
-      // load): auto means never degrade the run over the backend choice.
-      util::log_warn("Reactor: io_uring probe passed but setup failed (",
-                     ex.what(), "); falling back to epoll");
-    }
-  }
-  return detail::make_epoll_reactor(event_batch);
-}
-
-namespace detail {
-
 namespace {
+
+// The event vocabulary passes through to epoll untranslated.
+static_assert(kEventIn == EPOLLIN && kEventOut == EPOLLOUT &&
+              kEventErr == EPOLLERR && kEventHup == EPOLLHUP);
+
+/// Events dispatched per loop iteration.
+constexpr int kEventBatch = 64;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string("Reactor: ") + what + ": " +
                            std::strerror(errno));
 }
 
+std::uint64_t make_tag(int fd, std::uint32_t gen) noexcept {
+  return (static_cast<std::uint64_t>(gen) << 32) | static_cast<std::uint32_t>(fd);
+}
+
 }  // namespace
 
-ReactorCore::ReactorCore() {
+Reactor::Reactor() {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) throw_errno("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) throw_errno("eventfd");
+  try {
+    if (wake_fd_ < 0) throw_errno("eventfd");
+    // No loop thread yet, so registering directly is safe.
+    add_fd(wake_fd_, kEventIn, [this](std::uint32_t) {
+      std::uint64_t drained = 0;
+      while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
+      }
+    });
+  } catch (...) {
+    // The destructor does not run for a throwing constructor.
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    ::close(epoll_fd_);
+    throw;
+  }
 }
 
-ReactorCore::~ReactorCore() {
-  // Backends MUST stop() in their own destructors (the loop thread touches
-  // backend state); this catches a backend whose constructor threw before
-  // start().
+Reactor::~Reactor() {
   stop();
-  if (wake_fd_ >= 0) ::close(wake_fd_);
+  ::close(wake_fd_);
+  ::close(epoll_fd_);
 }
 
-void ReactorCore::start() {
+void Reactor::start() {
   thread_ = std::thread([this] { run(); });
 }
 
-void ReactorCore::stop() {
+void Reactor::stop() {
   if (!thread_.joinable()) return;
   {
     const std::scoped_lock lock(task_mutex_);
@@ -131,7 +83,7 @@ void ReactorCore::stop() {
   thread_.join();
 }
 
-void ReactorCore::post(Task task) {
+void Reactor::post(Task task) {
   {
     const std::scoped_lock lock(task_mutex_);
     tasks_.push_back(std::move(task));
@@ -139,39 +91,48 @@ void ReactorCore::post(Task task) {
   wake();
 }
 
-void ReactorCore::wake() {
+void Reactor::wake() {
   const std::uint64_t one = 1;
   // The eventfd counter saturating (EAGAIN) still leaves it readable, so a
   // failed write never loses a wakeup.
   [[maybe_unused]] const ssize_t rc = ::write(wake_fd_, &one, sizeof(one));
 }
 
-void ReactorCore::add_fd(int fd, std::uint32_t events, FdHandler handler) {
+void Reactor::add_fd(int fd, std::uint32_t events, FdHandler handler) {
   FdEntry entry;
-  entry.gen = alloc_generation();
-  entry.events = events;
+  entry.gen = ++generation_;
   entry.handler = std::make_shared<FdHandler>(std::move(handler));
-  backend_add(fd, events, make_tag(fd, entry.gen));
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = make_tag(fd, entry.gen);
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    throw_errno("epoll_ctl(add)");
+  }
   handlers_[fd] = std::move(entry);
 }
 
-void ReactorCore::mod_fd(int fd, std::uint32_t events) {
+void Reactor::mod_fd(int fd, std::uint32_t events) {
   const auto it = handlers_.find(fd);
   if (it == handlers_.end()) {
     throw std::runtime_error("Reactor: mod_fd on unregistered fd");
   }
-  it->second.gen = backend_mod(fd, events, make_tag(fd, it->second.gen));
-  it->second.events = events;
+  // The kernel-side registration survives a MOD, so its generation does.
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = make_tag(fd, it->second.gen);
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
+    throw_errno("epoll_ctl(mod)");
+  }
 }
 
-void ReactorCore::del_fd(int fd) {
+void Reactor::del_fd(int fd) {
   const auto it = handlers_.find(fd);
   if (it == handlers_.end()) return;
-  backend_del(fd, make_tag(fd, it->second.gen));
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   handlers_.erase(it);
 }
 
-void ReactorCore::dispatch_event(std::uint64_t tag, std::uint32_t events) {
+void Reactor::dispatch(std::uint64_t tag, std::uint32_t events) {
   const int fd = static_cast<int>(tag & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(tag >> 32);
   const auto it = handlers_.find(fd);
@@ -183,17 +144,7 @@ void ReactorCore::dispatch_event(std::uint64_t tag, std::uint32_t events) {
   (*handler)(events);
 }
 
-bool ReactorCore::still_registered(std::uint64_t tag,
-                                   std::uint32_t* events_out) const {
-  const int fd = static_cast<int>(tag & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(tag >> 32);
-  const auto it = handlers_.find(fd);
-  if (it == handlers_.end() || it->second.gen != gen) return false;
-  if (events_out != nullptr) *events_out = it->second.events;
-  return true;
-}
-
-void ReactorCore::call_later(double delay_s, Task task) {
+void Reactor::call_later(double delay_s, Task task) {
   Timer timer;
   timer.when = std::chrono::steady_clock::now() +
                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -201,17 +152,14 @@ void ReactorCore::call_later(double delay_s, Task task) {
   timer.seq = timer_seq_++;
   timer.fn = std::move(task);
   timers_.push_back(std::move(timer));
-  std::push_heap(timers_.begin(), timers_.end(),
-                 [](const Timer& a, const Timer& b) {
-                   return a.when > b.when || (a.when == b.when && a.seq > b.seq);
-                 });
+  std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
 }
 
-void ReactorCore::set_iteration_hook(Task hook) {
+void Reactor::set_iteration_hook(Task hook) {
   iteration_hook_ = std::move(hook);
 }
 
-void ReactorCore::drain_tasks() {
+void Reactor::drain_tasks() {
   std::vector<Task> batch;
   {
     const std::scoped_lock lock(task_mutex_);
@@ -220,20 +168,17 @@ void ReactorCore::drain_tasks() {
   for (Task& task : batch) task();
 }
 
-void ReactorCore::fire_due_timers() {
-  const auto greater = [](const Timer& a, const Timer& b) {
-    return a.when > b.when || (a.when == b.when && a.seq > b.seq);
-  };
+void Reactor::fire_due_timers() {
   const auto now = std::chrono::steady_clock::now();
   while (!timers_.empty() && timers_.front().when <= now) {
-    std::pop_heap(timers_.begin(), timers_.end(), greater);
+    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
     Task fn = std::move(timers_.back().fn);
     timers_.pop_back();
     fn();
   }
 }
 
-int ReactorCore::wait_timeout_ms() const {
+int Reactor::wait_timeout_ms() const {
   if (timers_.empty()) return -1;
   const auto now = std::chrono::steady_clock::now();
   if (timers_.front().when <= now) return 0;
@@ -244,15 +189,21 @@ int ReactorCore::wait_timeout_ms() const {
   return static_cast<int>(std::min<long long>(wait + 1, 60'000));
 }
 
-void ReactorCore::run() {
+void Reactor::run() {
+  epoll_event events[kEventBatch];
   for (;;) {
     drain_tasks();
     if (stop_requested_) break;
     fire_due_timers();
     if (iteration_hook_) iteration_hook_();
-    if (!backend_poll(wait_timeout_ms())) break;
+    const int n = ::epoll_wait(epoll_fd_, events, kEventBatch, wait_timeout_ms());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      util::log_error("Reactor: epoll_wait: ", std::strerror(errno));
+      break;
+    }
+    for (int i = 0; i < n; ++i) dispatch(events[i].data.u64, events[i].events);
   }
 }
 
-}  // namespace detail
 }  // namespace nopfs::net

@@ -1,18 +1,8 @@
 #pragma once
-// Reactor: one event-loop thread driving every socket of a process's
-// SocketTransport, behind a backend-pluggable interface (DESIGN.md
-// Sec. 7.5/7.6).  Two backends implement it:
+// Reactor: one level-triggered epoll loop thread driving every socket of a
+// process's SocketTransport (DESIGN.md Sec. 7.5).
 //
-//   * EpollReactor (epoll_reactor.cpp) — level-triggered epoll_wait, the
-//     historical loop.
-//   * IoUringReactor (io_uring_reactor.cpp) — raw io_uring_setup /
-//     io_uring_enter over mmapped SQ/CQ rings (no liburing), multishot
-//     POLL_ADD readiness, one batched io_uring_enter per loop iteration.
-//     Compiled under NOPFS_WITH_IOURING; make_reactor() probes the kernel
-//     at runtime and kAuto falls back to epoll where the probe fails
-//     (ENOSYS / seccomp EPERM / pre-5.13 kernels).
-//
-// INTERFACE CONTRACT (every backend must honor all of it):
+// CONTRACT:
 //
 //   * post() is thread-safe and FIFO: "post A, then post B" from one thread
 //     always executes A before B on the loop.  The transport leans on this
@@ -22,113 +12,120 @@
 //   * Everything else — add_fd/mod_fd/del_fd, call_later, set_iteration_hook
 //     — is loop-thread-only, callable from inside posted tasks, fd handlers
 //     and timers (and, before start(), from the constructing thread).
-//   * Readiness is level-style AT DELIVERY POINTS: registering (or
-//     re-masking) an fd that is already ready delivers an event without
-//     waiting for a new edge.  Between deliveries a handler must drain its
-//     fd to EAGAIN or arrange its own continuation (the transport posts a
-//     follow-up task when its read budget truncates a burst) — the io_uring
-//     backend's multishot poll only refires on kernel wakeups.
+//   * Readiness is level-triggered: a handler that stops short of EAGAIN
+//     (the transport's per-event read budget) is simply called again on the
+//     next iteration, and registering or re-masking an fd that is already
+//     ready delivers an event without waiting for a new edge.
 //   * Handlers are held by shared_ptr, so a handler may del_fd itself
 //     mid-dispatch.  Registrations are generation-tagged: an fd closed and
-//     re-registered within one event batch can never deliver a stale event
-//     to the new handler — the pending event carries the old generation and
-//     is dropped in the shared dispatch path.
+//     re-registered within one epoll_wait batch can never deliver a stale
+//     event to the new handler — the pending event carries the old
+//     generation and is dropped.
 //   * One iteration runs: queued tasks, due timers, the iteration hook (the
 //     transport batches its dirty-session flushes there so frames queued by
-//     many tasks share one sendmsg), then one poll/enter and the ready
+//     many tasks share one sendmsg), then one epoll_wait and the ready
 //     handlers.
 //   * Timers fire in deadline order; equal deadlines fire in scheduling
 //     order.
-//
-// Event masks use the poll(2) bit values (numerically identical to the
-// EPOLL* constants), so both backends pass them through untranslated.
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
+#include <mutex>
+#include <thread>
+#include <unordered_map>
+#include <vector>
 
 namespace nopfs::net {
 
-/// Readiness bits for add_fd/mod_fd and handler dispatch — the poll(2) /
-/// epoll(7) values (the two agree bit-for-bit for IN/OUT/ERR/HUP).
+/// Readiness bits for add_fd/mod_fd and handler dispatch — the epoll(7)
+/// values (checked against EPOLL* in reactor.cpp).
 inline constexpr std::uint32_t kEventIn = 0x001;
 inline constexpr std::uint32_t kEventOut = 0x004;
 inline constexpr std::uint32_t kEventErr = 0x008;
 inline constexpr std::uint32_t kEventHup = 0x010;
 
-/// Which event loop carries the transport (SocketOptions::reactor_backend).
-enum class ReactorBackend {
-  kAuto,     ///< io_uring when the runtime probe passes, else epoll
-  kEpoll,    ///< always available
-  kIoUring,  ///< explicit: make_reactor throws where the probe fails
-};
+/// Always false: the transport runs on epoll only.  Kept because the
+/// environment JSON in perfbench reads it, and its documented meaning was
+/// already "false when the io_uring backend isn't built".
+[[nodiscard]] inline bool io_uring_available() noexcept { return false; }
 
-/// "auto" / "epoll" / "io_uring".
-[[nodiscard]] const char* to_string(ReactorBackend backend) noexcept;
-
-/// Parses the CLI/env spelling; returns false (and leaves `out` untouched)
-/// on an unknown name.
-[[nodiscard]] bool parse_reactor_backend(const std::string& name,
-                                         ReactorBackend& out) noexcept;
-
-/// Runtime probe, cached after the first call: does this kernel grant a
-/// usable io_uring (setup succeeds and the ring is new enough for multishot
-/// poll)?  False under ENOSYS, seccomp EPERM/EACCES, io_uring_disabled
-/// sysctls, pre-5.13 kernels, or a build with NOPFS_WITH_IOURING off.
-[[nodiscard]] bool io_uring_available() noexcept;
-
-class Reactor {
+class Reactor final {
  public:
   using Task = std::function<void()>;
   using FdHandler = std::function<void(std::uint32_t events)>;
 
-  virtual ~Reactor() = default;
+  /// Creates the epoll instance and the post() wake eventfd; throws
+  /// std::runtime_error if either fails.
+  Reactor();
+  ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
   /// Launches the loop thread.  Tasks posted (and fds added) before start()
   /// are picked up on the first iteration.
-  virtual void start() = 0;
+  void start();
 
   /// Asks the loop to finish its queued tasks and exit, then joins it.
   /// Idempotent; must not be called from the loop thread.
-  virtual void stop() = 0;
+  void stop();
 
   /// Thread-safe: enqueue a task for the loop (FIFO per poster) and wake it.
-  virtual void post(Task task) = 0;
+  void post(Task task);
 
   // --- loop-thread-only ----------------------------------------------------
 
-  virtual void add_fd(int fd, std::uint32_t events, FdHandler handler) = 0;
-  virtual void mod_fd(int fd, std::uint32_t events) = 0;
-  virtual void del_fd(int fd) = 0;
+  void add_fd(int fd, std::uint32_t events, FdHandler handler);
+  void mod_fd(int fd, std::uint32_t events);
+  void del_fd(int fd);
 
   /// Runs `task` on the loop after at least `delay_s` seconds.
-  virtual void call_later(double delay_s, Task task) = 0;
+  void call_later(double delay_s, Task task);
 
   /// Installed hook runs once per loop iteration, after tasks and timers,
-  /// before the poll.
-  virtual void set_iteration_hook(Task hook) = 0;
+  /// before epoll_wait.
+  void set_iteration_hook(Task hook);
 
-  /// "epoll" or "io_uring" — which backend this instance is.
-  [[nodiscard]] virtual const char* backend_name() const noexcept = 0;
+ private:
+  struct Timer {
+    std::chrono::steady_clock::time_point when;
+    std::uint64_t seq = 0;  // tie-break: equal deadlines fire in post order
+    Task fn;
+    friend bool operator>(const Timer& a, const Timer& b) {
+      return a.when > b.when || (a.when == b.when && a.seq > b.seq);
+    }
+  };
+  struct FdEntry {
+    std::uint32_t gen = 0;
+    std::shared_ptr<FdHandler> handler;
+  };
 
- protected:
-  Reactor() = default;
+  void run();
+  void wake();
+  void drain_tasks();
+  void fire_due_timers();
+  [[nodiscard]] int wait_timeout_ms() const;
+  /// Drops the event unless (fd, gen) in `tag` is still the current
+  /// registration, then invokes the handler through a copied shared_ptr.
+  void dispatch(std::uint64_t tag, std::uint32_t events);
+
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  std::thread thread_;
+  bool stop_requested_ = false;  // loop-thread once running; see stop()
+
+  std::mutex task_mutex_;
+  std::vector<Task> tasks_;
+  bool stop_posted_ = false;
+
+  // Loop-thread-only state.
+  std::unordered_map<int, FdEntry> handlers_;
+  std::uint32_t generation_ = 0;
+  std::vector<Timer> timers_;  // min-heap on (when, seq)
+  std::uint64_t timer_seq_ = 0;
+  Task iteration_hook_;
 };
-
-/// Default poll batch: events dispatched per loop iteration (the historical
-/// epoll `events[64]`); SocketOptions::reactor_event_batch overrides it for
-/// backend A/B sweeps.
-inline constexpr std::size_t kDefaultEventBatch = 64;
-
-/// Builds a reactor.  kAuto resolves through io_uring_available() and falls
-/// back to epoll silently; an explicit kIoUring throws std::runtime_error
-/// where the probe fails, so a hard request never degrades unnoticed.
-[[nodiscard]] std::unique_ptr<Reactor> make_reactor(
-    ReactorBackend backend = ReactorBackend::kAuto,
-    std::size_t event_batch = kDefaultEventBatch);
 
 }  // namespace nopfs::net

@@ -154,10 +154,9 @@ class Transport {
   /// Bytes moved through this rank's NIC so far (diagnostics).
   [[nodiscard]] virtual double transferred_mb() const = 0;
 
-  /// The event-loop backend carrying this transport: "epoll" or "io_uring"
-  /// for SocketTransport (which backend the runtime probe resolved to —
-  /// DESIGN.md Sec. 7.6), "none" for transports without a reactor.
-  /// RuntimeResult records it so a run always states which loop carried it.
+  /// The event loop carrying this transport: "epoll" for SocketTransport,
+  /// "none" for transports without a reactor.  RuntimeResult records it so
+  /// a run always states which loop carried it.
   [[nodiscard]] virtual const char* reactor_backend() const noexcept {
     return "none";
   }

@@ -64,6 +64,14 @@ double Reader::f64() {
   return v;
 }
 
+std::uint32_t Reader::count(std::size_t min_element_bytes) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / min_element_bytes) {
+    throw std::runtime_error("wire: element count exceeds payload");
+  }
+  return n;
+}
+
 std::vector<std::uint8_t> Reader::bytes(std::size_t n) {
   need(n);
   std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + n);
@@ -120,6 +128,12 @@ PfsGamma decode_pfs_gamma(const std::vector<std::uint8_t>& payload) {
 namespace {
 
 constexpr int kLocationCount = static_cast<int>(sim::Location::kCount);
+
+/// Smallest put_sim_result encoding: three empty strings (u32 length each),
+/// the supported byte, three empty f64 vectors (u64 length each) and the
+/// fixed f64/u64 fields.
+constexpr std::size_t kMinSimResultBytes =
+    3 * 4 + 1 + 3 * 8 + (4 + 3 * kLocationCount + 1) * 8;
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
@@ -284,7 +298,7 @@ SweepResultBatch decode_sweep_result_batch(
   SweepResultBatch batch;
   batch.seq = reader.u32();
   batch.first = reader.u64();
-  const std::uint32_t count = reader.u32();
+  const std::uint32_t count = reader.count(kMinSimResultBytes);
   batch.results.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     batch.results.push_back(read_sim_result(reader));
@@ -322,12 +336,12 @@ FrameHeader decode_header(const std::uint8_t (&in)[kHeaderBytes]) {
 
 // --- FrameReader -----------------------------------------------------------
 
-IoStatus FrameReader::fill_from(int fd, std::size_t max_bytes) {
+IoStatus FrameReader::fill_from(int fd) {
   std::size_t consumed = 0;
   for (;;) {
     dispense();  // scratch fully drains into header/payload state
     scratch_pos_ = scratch_len_ = 0;
-    if (consumed >= max_bytes) return IoStatus::kDone;
+    if (consumed >= kReadBudget) return IoStatus::kDone;
     ssize_t n = 0;
     const std::size_t payload_want =
         have_header_ ? payload_.size() - payload_have_ : 0;
@@ -421,17 +435,13 @@ void SendQueue::push(MsgType type, std::uint64_t arg,
   push(type, arg, std::move(copy));
 }
 
-void SendQueue::set_max_flush_iov(std::size_t cap) noexcept {
-  max_flush_iov_ = std::clamp<std::size_t>(cap, 2, kMaxFlushIovCap);
-}
-
 IoStatus SendQueue::flush(int fd) {
   while (!entries_.empty()) {
-    iovec iov[kMaxFlushIovCap];
+    iovec iov[kMaxFlushIov];
     std::size_t iovcnt = 0;
     std::size_t skip = front_offset_;  // non-zero only for the front entry
     for (auto it = entries_.begin();
-         it != entries_.end() && iovcnt + 2 <= max_flush_iov_; ++it) {
+         it != entries_.end() && iovcnt + 2 <= kMaxFlushIov; ++it) {
       if (skip < kHeaderBytes) {
         iov[iovcnt].iov_base = it->header + skip;
         iov[iovcnt].iov_len = kHeaderBytes - skip;

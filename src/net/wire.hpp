@@ -186,6 +186,10 @@ class Reader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::vector<std::uint8_t> bytes(std::size_t n);
+  /// Reads a u32 element count and rejects one the remaining payload cannot
+  /// hold at `min_element_bytes` per element, so a corrupt count never
+  /// reaches reserve().
+  [[nodiscard]] std::uint32_t count(std::size_t min_element_bytes);
   [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
 
  private:
@@ -270,12 +274,12 @@ struct Frame {
 class FrameReader {
  public:
   /// Per-call read budget: one session cannot starve the rest of the loop.
-  static constexpr std::size_t kDefaultReadBudget = 4u << 20;
+  static constexpr std::size_t kReadBudget = 4u << 20;
 
   /// Pumps bytes from `fd` until it would block, reaches EOF, or roughly
-  /// `max_bytes` have been consumed.  Throws std::runtime_error on a
+  /// kReadBudget bytes have been consumed.  Throws std::runtime_error on a
   /// malformed frame or a socket error (EINTR is retried internally).
-  IoStatus fill_from(int fd, std::size_t max_bytes = kDefaultReadBudget);
+  IoStatus fill_from(int fd);
 
   [[nodiscard]] bool has_frame() const noexcept { return !ready_.empty(); }
   [[nodiscard]] Frame pop_frame();
@@ -305,21 +309,14 @@ class FrameReader {
 /// Outbound frame queue for a non-blocking socket.  push() stages a frame
 /// (header encoded in place, payload moved in — never copied); flush()
 /// writes as much as the socket accepts with one sendmsg() per batch,
-/// gathering up to the configured iovec cap so a kHit header and its sample
+/// gathering up to kMaxFlushIov iovecs so a kHit header and its sample
 /// payload — and any frames queued behind them — leave in one syscall.
 /// Partial writes persist as a byte offset into the front frame.
 class SendQueue {
  public:
-  /// Default gather cap in iovecs per sendmsg (a frame is a header iovec
-  /// plus, when non-empty, a payload iovec — so ~32 small frames a batch).
-  static constexpr std::size_t kDefaultMaxFlushIov = 32;
-  /// Hard ceiling for set_max_flush_iov (stack-allocated iovec array; also
-  /// comfortably below the kernel's UIO_MAXIOV).
-  static constexpr std::size_t kMaxFlushIovCap = 256;
-
-  /// Re-tunes the gather cap (SocketOptions::send_gather_iovs — backend A/B
-  /// sweeps); clamped to [2, kMaxFlushIovCap].
-  void set_max_flush_iov(std::size_t cap) noexcept;
+  /// Gather cap in iovecs per sendmsg (a frame is a header iovec plus,
+  /// when non-empty, a payload iovec).
+  static constexpr std::size_t kMaxFlushIov = 32;
 
   void push(MsgType type, std::uint64_t arg, std::vector<std::uint8_t> payload);
   void push(MsgType type, std::uint64_t arg, const std::uint8_t* payload,
@@ -342,7 +339,6 @@ class SendQueue {
   std::deque<Entry> entries_;
   std::size_t front_offset_ = 0;  // bytes of the front entry already sent
   std::size_t bytes_ = 0;
-  std::size_t max_flush_iov_ = kDefaultMaxFlushIov;
 };
 
 }  // namespace nopfs::net::wire

@@ -429,7 +429,6 @@ RuntimeResult run_distributed(const data::Dataset& dataset, const RuntimeConfig&
   options.nic = cluster.worker(endpoint.rank).nic.get();
   options.gossip = config.pfs_gossip;
   options.time_scale = config.time_scale;
-  options.reactor_backend = endpoint.reactor;
   net::SocketTransport transport(options);
   return run_distributed(dataset, config, transport, &cluster);
 }

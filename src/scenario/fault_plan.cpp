@@ -89,7 +89,7 @@ std::vector<std::uint8_t> encode_fault_plan(const FaultPlan& plan) {
 FaultPlan decode_fault_plan(const std::vector<std::uint8_t>& bytes) {
   net::wire::Reader r(bytes);
   FaultPlan plan;
-  const std::uint32_t num_stragglers = r.u32();
+  const std::uint32_t num_stragglers = r.count(4 + 8);  // i32 rank, f64 factor
   plan.stragglers.reserve(num_stragglers);
   for (std::uint32_t i = 0; i < num_stragglers; ++i) {
     FaultPlan::Straggler s;
@@ -97,7 +97,7 @@ FaultPlan decode_fault_plan(const std::vector<std::uint8_t>& bytes) {
     s.factor = r.f64();
     plan.stragglers.push_back(s);
   }
-  const std::uint32_t num_drops = r.u32();
+  const std::uint32_t num_drops = r.count(4 + 2 * 8);  // i32 rank, f64 window
   plan.drops.reserve(num_drops);
   for (std::uint32_t i = 0; i < num_drops; ++i) {
     FaultPlan::Drop d;
@@ -106,7 +106,7 @@ FaultPlan decode_fault_plan(const std::vector<std::uint8_t>& bytes) {
     d.end_s = r.f64();
     plan.drops.push_back(d);
   }
-  const std::uint32_t num_bursts = r.u32();
+  const std::uint32_t num_bursts = r.count(3 * 8);  // f64 window, f64 derate
   plan.pfs_bursts.reserve(num_bursts);
   for (std::uint32_t i = 0; i < num_bursts; ++i) {
     FaultPlan::PfsBurst b;
@@ -115,7 +115,7 @@ FaultPlan decode_fault_plan(const std::vector<std::uint8_t>& bytes) {
     b.derate = r.f64();
     plan.pfs_bursts.push_back(b);
   }
-  const std::uint32_t num_membership = r.u32();
+  const std::uint32_t num_membership = r.count(4 + 2 * 8);  // i32 rank, f64 join/leave
   plan.membership.reserve(num_membership);
   for (std::uint32_t i = 0; i < num_membership; ++i) {
     FaultPlan::Membership m;

@@ -841,13 +841,6 @@ std::vector<std::string> validate(const Scenario& s) {
   if (s.worker.time_scale <= 0.0) bad("worker time scale must be positive");
   if (s.worker.loader_threads < 1) bad("worker needs >= 1 loader thread");
   if (s.worker.lookahead < 1) bad("worker lookahead must be >= 1");
-  {
-    net::ReactorBackend parsed = net::ReactorBackend::kAuto;
-    if (!net::parse_reactor_backend(s.worker.reactor, parsed)) {
-      bad("worker reactor backend must be auto|epoll|io_uring, got \"" +
-          s.worker.reactor + "\"");
-    }
-  }
   if (s.worker.dataset.num_samples == 0) bad("worker dataset has no samples");
   if (s.worker.dataset.num_samples > 100'000) {
     bad("worker dataset too large for a CLI smoke run");

@@ -110,11 +110,6 @@ struct WorkerShape {
   /// connections, PFS bursts, elastic membership.  Empty (the default)
   /// injects nothing; validate() checks the plan against world_size.
   FaultPlan faults;
-  /// Reactor backend for the multi-process projection ("auto", "epoll",
-  /// "io_uring").  "auto" — the default every scenario keeps — lets the
-  /// worker CLI and NOPFS_REACTOR choose, so the CI matrix can sweep
-  /// backends without per-scenario pins; validate() checks it parses.
-  std::string reactor = "auto";
 };
 
 /// One named scenario: a full run specification.

@@ -356,6 +356,11 @@ SweepServiceReport run_sweep_service(
         scheduler.submit(batch.first, std::move(batch.results));
       };
       transport->set_sweep_service(std::move(service));
+      // Start fence: no initial-world worker pulls before the service is
+      // installed (a pull that beat it would read as "lost rank 0").  Late
+      // joiners (rank >= world) are outside the collective and unfenced;
+      // an elastic joiner whose pull beats the install stops as done.
+      if (world > 1) transport->barrier();
     }
     // Rank 0 works the grid too, pulling straight from the scheduler.  At
     // the tail this loop re-executes outstanding remote ranges (grant()'s
@@ -402,6 +407,7 @@ SweepServiceReport run_sweep_service(
     std::uint32_t pull_seq = 0;
     std::uint32_t result_seq = 0;
     int completed_pulls = 0;
+    if (rank < world) transport->barrier();  // start fence (see rank 0)
     for (;;) {
       const auto reply =
           transport->sweep_pull(wire::encode_sweep_pull({++pull_seq}));

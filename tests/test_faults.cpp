@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -112,6 +114,19 @@ TEST(FaultPlan, CodecRoundTripsAndRejectsTrailingBytes) {
   truncated.pop_back();
   EXPECT_THROW((void)scenario::decode_fault_plan(truncated),
                std::runtime_error);
+}
+
+TEST(FaultPlan, DecodeRejectsCountsThePayloadCannotHold) {
+  // An empty plan encodes as its four u32 counts; a corrupt 0xFFFFFFFF in
+  // any of them must fail as a wire error, not reach reserve().
+  for (std::size_t field = 0; field < 4; ++field) {
+    std::vector<std::uint8_t> bytes = scenario::encode_fault_plan(FaultPlan{});
+    ASSERT_EQ(bytes.size(), 16u);
+    std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(4 * field), 4,
+                std::uint8_t{0xFF});
+    EXPECT_THROW((void)scenario::decode_fault_plan(bytes), std::runtime_error)
+        << "count field " << field;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
-// Backend-conformance suite for the pluggable reactor (DESIGN.md Sec. 7.6)
-// plus the reactor-backed SocketTransport paths the threaded-era suite could
-// not exercise.  Every case runs against BOTH event-loop backends — epoll
-// and io_uring — through the same abstract interface: task FIFO, timer
-// ordering, fd dispatch, generation-tagged re-registration, the mod_fd
-// missed-edge hazard, the pipelined-fetch ticket API (dozens of kFetch in
-// flight on ONE connection, interleaved with kPfsDelta gossip on the same
-// wire), read-budget truncation continuations, and dead-rank gamma release
-// when a peer process dies abruptly (fork + _exit, the real crash shape).
-// io_uring cases skip cleanly where the kernel denies io_uring_setup.
+// Contract suite for the epoll reactor (DESIGN.md Sec. 7.5) plus the
+// reactor-backed SocketTransport paths the threaded-era suite could not
+// exercise: task FIFO, timer ordering, fd dispatch, level-triggered
+// re-delivery after a partial read, generation-tagged re-registration,
+// readiness present before a mod_fd, the pipelined-fetch ticket API
+// (dozens of kFetch in flight on ONE connection, interleaved with
+// kPfsDelta gossip on the same wire), bursts larger than the read budget,
+// and dead-rank gamma release when a peer process dies abruptly (fork +
+// _exit, the real crash shape).
 
 #include <gtest/gtest.h>
 
@@ -30,6 +29,7 @@
 
 #include "net/reactor.hpp"
 #include "net/socket_transport.hpp"
+#include "net/wire.hpp"
 
 namespace nopfs::net {
 namespace {
@@ -44,38 +44,16 @@ bool eventually(const std::function<bool()>& predicate,
   return predicate();
 }
 
-std::string backend_case_name(
-    const ::testing::TestParamInfo<ReactorBackend>& info) {
-  return to_string(info.param);
-}
-
-/// Fixture over the two concrete backends.  io_uring skips (not fails)
-/// where the kernel refuses the ring — CI runners vary.
-class ReactorBackendTest : public ::testing::TestWithParam<ReactorBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == ReactorBackend::kIoUring && !io_uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-
-  std::unique_ptr<Reactor> make() { return make_reactor(GetParam()); }
-};
-
-TEST_P(ReactorBackendTest, ReportsItsOwnBackendName) {
-  EXPECT_STREQ(make()->backend_name(), to_string(GetParam()));
-}
-
-TEST_P(ReactorBackendTest, TasksRunInPostOrder) {
+TEST(Reactor, TasksRunInPostOrder) {
   // The FIFO guarantee is what the transport's gossip sequencing leans on:
   // post A then B from one thread must run A before B on the loop.
-  auto reactor = make();
-  reactor->start();
+  Reactor reactor;
+  reactor.start();
   std::mutex mutex;
   std::vector<int> order;
   std::condition_variable cv;
   for (int i = 0; i < 100; ++i) {
-    reactor->post([&, i] {
+    reactor.post([&, i] {
       const std::scoped_lock lock(mutex);
       order.push_back(i);
       if (i == 99) cv.notify_all();
@@ -87,167 +65,167 @@ TEST_P(ReactorBackendTest, TasksRunInPostOrder) {
                             [&] { return order.size() == 100u; }));
     for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
-  reactor->stop();
+  reactor.stop();
 }
 
-TEST_P(ReactorBackendTest, TimersFireInDeadlineOrderWithPostOrderTieBreak) {
-  auto reactor = make();
+TEST(Reactor, TimersFireInDeadlineOrderWithPostOrderTieBreak) {
+  Reactor reactor;
   std::mutex mutex;
   std::vector<int> order;
   std::condition_variable cv;
   // Scheduled from the loop itself (call_later is loop-thread-only): a
   // later deadline must not overtake an earlier one, and equal deadlines
   // fire in scheduling order.
-  reactor->post([&, r = reactor.get()] {
-    r->call_later(0.05, [&] {
+  reactor.post([&] {
+    reactor.call_later(0.05, [&] {
       const std::scoped_lock lock(mutex);
       order.push_back(3);
       cv.notify_all();
     });
-    r->call_later(0.0, [&] {
+    reactor.call_later(0.0, [&] {
       const std::scoped_lock lock(mutex);
       order.push_back(1);
     });
-    r->call_later(0.0, [&] {
+    reactor.call_later(0.0, [&] {
       const std::scoped_lock lock(mutex);
       order.push_back(2);
     });
   });
-  reactor->start();
+  reactor.start();
   {
     std::unique_lock lock(mutex);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
                             [&] { return order.size() == 3u; }));
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   }
-  reactor->stop();
+  reactor.stop();
 }
 
-TEST_P(ReactorBackendTest, DispatchesFdEventsAndHonorsSelfRemoval) {
+TEST(Reactor, DispatchesFdEventsAndHonorsSelfRemoval) {
   // A pipe becomes readable; its handler reads, then del_fd()s itself
   // mid-dispatch — the shared_ptr-held handler must survive its own
   // removal, and no further events may be delivered.
   int pipe_fds[2];
   ASSERT_EQ(::pipe(pipe_fds), 0);
-  auto reactor = make();
+  Reactor reactor;
   std::atomic<int> fired{0};
-  reactor->add_fd(pipe_fds[0], kEventIn, [&, r = reactor.get()](std::uint32_t) {
+  reactor.add_fd(pipe_fds[0], kEventIn, [&](std::uint32_t) {
     char buf[8];
     (void)::read(pipe_fds[0], buf, sizeof(buf));
     ++fired;
-    r->del_fd(pipe_fds[0]);
+    reactor.del_fd(pipe_fds[0]);
   });
-  reactor->start();
+  reactor.start();
   ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
   EXPECT_TRUE(eventually([&] { return fired.load() == 1; }));
   // A second byte after removal must not reach the handler.
   ASSERT_EQ(::write(pipe_fds[1], "y", 1), 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(fired.load(), 1);
-  reactor->stop();
+  reactor.stop();
   ::close(pipe_fds[0]);
   ::close(pipe_fds[1]);
 }
 
-TEST_P(ReactorBackendTest, ReRegisteredFdRoutesOnlyToTheNewHandler) {
-  // del_fd + add_fd of the SAME fd inside a handler: any event the backend
+TEST(Reactor, PartialReadIsRedeliveredWithoutNewData) {
+  // Level-triggered readiness: a handler that leaves bytes unread (as the
+  // transport does when a burst hits its read budget) is called again with
+  // no new write.  The transport relies on this instead of posting a read
+  // continuation.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  ASSERT_EQ(::write(pipe_fds[1], "abc", 3), 3);
+  Reactor reactor;
+  std::atomic<int> reads{0};
+  reactor.add_fd(pipe_fds[0], kEventIn, [&](std::uint32_t) {
+    char byte = 0;
+    if (::read(pipe_fds[0], &byte, 1) == 1) ++reads;
+  });
+  reactor.start();
+  EXPECT_TRUE(eventually([&] { return reads.load() == 3; }));
+  reactor.post([&] { reactor.del_fd(pipe_fds[0]); });
+  reactor.stop();
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+}
+
+TEST(Reactor, ReRegisteredFdRoutesOnlyToTheNewHandler) {
+  // del_fd + add_fd of the SAME fd inside a handler: any event epoll
   // already collected for the old registration must be dropped by its stale
   // generation tag, and later readiness must reach only the new handler.
   int pipe_fds[2];
   ASSERT_EQ(::pipe(pipe_fds), 0);
-  auto reactor = make();
+  Reactor reactor;
   std::atomic<int> first{0};
   std::atomic<int> second{0};
-  reactor->add_fd(pipe_fds[0], kEventIn, [&, r = reactor.get()](std::uint32_t) {
+  reactor.add_fd(pipe_fds[0], kEventIn, [&](std::uint32_t) {
     char buf[1];
     (void)::read(pipe_fds[0], buf, sizeof(buf));
     ++first;
-    r->del_fd(pipe_fds[0]);
-    r->add_fd(pipe_fds[0], kEventIn, [&](std::uint32_t) {
+    reactor.del_fd(pipe_fds[0]);
+    reactor.add_fd(pipe_fds[0], kEventIn, [&](std::uint32_t) {
       char buf2[8];
       (void)::read(pipe_fds[0], buf2, sizeof(buf2));
       ++second;
     });
   });
-  reactor->start();
+  reactor.start();
   ASSERT_EQ(::write(pipe_fds[1], "a", 1), 1);
   EXPECT_TRUE(eventually([&] { return first.load() == 1; }));
   ASSERT_EQ(::write(pipe_fds[1], "b", 1), 1);
   EXPECT_TRUE(eventually([&] { return second.load() >= 1; }));
   EXPECT_EQ(first.load(), 1);
-  reactor->post([&, r = reactor.get()] { r->del_fd(pipe_fds[0]); });
-  reactor->stop();
+  reactor.post([&] { reactor.del_fd(pipe_fds[0]); });
+  reactor.stop();
   ::close(pipe_fds[0]);
   ::close(pipe_fds[1]);
 }
 
-TEST_P(ReactorBackendTest, ModFdDeliversReadinessPresentBeforeTheMod) {
+TEST(Reactor, ModFdDeliversReadinessPresentBeforeTheMod) {
   // The missed-edge hazard: a mask widened to kEventOut on an ALREADY
-  // writable socket must still dispatch.  Level-triggered epoll gives this
-  // for free; the io_uring backend must re-arm a fresh poll whose initial
-  // vfs_poll re-checks readiness rather than waiting for a new edge.
+  // writable socket must still dispatch without waiting for a new edge.
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto reactor = make();
+  Reactor reactor;
   std::atomic<int> out_events{0};
-  reactor->add_fd(sv[0], kEventIn, [&](std::uint32_t events) {
+  reactor.add_fd(sv[0], kEventIn, [&](std::uint32_t events) {
     if ((events & kEventOut) != 0) ++out_events;
   });
-  reactor->start();
-  reactor->post(
-      [&, r = reactor.get()] { r->mod_fd(sv[0], kEventIn | kEventOut); });
+  reactor.start();
+  reactor.post([&] { reactor.mod_fd(sv[0], kEventIn | kEventOut); });
   EXPECT_TRUE(eventually([&] { return out_events.load() >= 1; }));
-  reactor->post([&, r = reactor.get()] { r->del_fd(sv[0]); });
-  reactor->stop();
+  reactor.post([&] { reactor.del_fd(sv[0]); });
+  reactor.stop();
   ::close(sv[0]);
   ::close(sv[1]);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackendTest,
-                         ::testing::Values(ReactorBackend::kEpoll,
-                                           ReactorBackend::kIoUring),
-                         backend_case_name);
-
-/// Transport-level conformance: the same fixture pattern, but the backend
-/// flows in through SocketOptions::reactor_backend.
-class ReactorTransportTest : public ::testing::TestWithParam<ReactorBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == ReactorBackend::kIoUring && !io_uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
+/// Builds a connected 2-rank world over loopback (same idiom as
+/// tests/test_socket_transport.cpp).
+std::vector<std::unique_ptr<SocketTransport>> make_pair_world() {
+  const std::uint16_t port = pick_free_port();
+  std::vector<std::unique_ptr<SocketTransport>> endpoints(2);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      SocketOptions options;
+      options.rank = r;
+      options.world_size = 2;
+      options.rendezvous_port = port;
+      options.timeout_s = 30.0;
+      endpoints[static_cast<std::size_t>(r)] =
+          std::make_unique<SocketTransport>(options);
+    });
   }
-
-  /// Builds a connected 2-rank world over loopback (same idiom as
-  /// tests/test_socket_transport.cpp), both ranks on GetParam()'s backend.
-  std::vector<std::unique_ptr<SocketTransport>> make_pair_world(
-      std::size_t read_budget_bytes = 0) {
-    const std::uint16_t port = pick_free_port();
-    std::vector<std::unique_ptr<SocketTransport>> endpoints(2);
-    std::vector<std::thread> threads;
-    for (int r = 0; r < 2; ++r) {
-      threads.emplace_back([&, r] {
-        SocketOptions options;
-        options.rank = r;
-        options.world_size = 2;
-        options.rendezvous_port = port;
-        options.timeout_s = 30.0;
-        options.reactor_backend = GetParam();
-        options.read_budget_bytes = read_budget_bytes;
-        endpoints[static_cast<std::size_t>(r)] =
-            std::make_unique<SocketTransport>(options);
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (const auto& endpoint : endpoints) {
-      if (endpoint == nullptr) throw std::runtime_error("handshake failed");
-    }
-    EXPECT_STREQ(endpoints[0]->reactor_backend(), to_string(GetParam()));
-    return endpoints;
+  for (auto& t : threads) t.join();
+  for (const auto& endpoint : endpoints) {
+    if (endpoint == nullptr) throw std::runtime_error("handshake failed");
   }
-};
+  EXPECT_STREQ(endpoints[0]->reactor_backend(), "epoll");
+  return endpoints;
+}
 
-TEST_P(ReactorTransportTest, DozensInFlightInterleavedWithGossip) {
+TEST(ReactorTransport, DozensInFlightInterleavedWithGossip) {
   // The ticket API keeps a deep train of kFetch frames on rank 1's single
   // channel to rank 0 while unary kPfsDelta frames ride the SAME
   // connection between them.  Every reply must land on the ticket that
@@ -317,7 +295,7 @@ TEST_P(ReactorTransportTest, DozensInFlightInterleavedWithGossip) {
   endpoints[1]->set_pfs_listener({});
 }
 
-TEST_P(ReactorTransportTest, TicketsFromManyThreadsShareOneConnection) {
+TEST(ReactorTransport, TicketsFromManyThreadsShareOneConnection) {
   // Several caller threads each keep their own ticket window on the same
   // channel session; per-connection reply matching must never cross wires.
   auto endpoints = make_pair_world();
@@ -349,13 +327,14 @@ TEST_P(ReactorTransportTest, TicketsFromManyThreadsShareOneConnection) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-TEST_P(ReactorTransportTest, TinyReadBudgetStillDrainsLargeBursts) {
-  // A read budget far below one reply forces kDone truncation on every
-  // fill; the transport's posted continuation must keep consuming.  This
-  // pins the multishot-poll hazard: the socket goes quiet after the burst,
-  // so an io_uring backend that waited for a fresh edge would hang here.
-  auto endpoints = make_pair_world(/*read_budget_bytes=*/4096);
-  constexpr std::size_t kPayload = 64u << 10;  // 16 budgets per reply
+TEST(ReactorTransport, BurstsLargerThanTheReadBudgetDrain) {
+  // Each reply is twice the per-event read budget, so reads stop at the
+  // budget mid-payload and the session must be served again until every
+  // reply is whole, with no read continuation in the transport.  (The
+  // re-delivery itself is pinned by PartialReadIsRedeliveredWithoutNewData:
+  // on loopback the sender usually keeps the fd busy enough to hide it.)
+  auto endpoints = make_pair_world();
+  constexpr std::size_t kPayload = 2 * wire::FrameReader::kReadBudget;
   endpoints[0]->set_serve_handler([](std::uint64_t id) -> std::optional<Bytes> {
     Bytes bytes(kPayload);
     for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -365,7 +344,7 @@ TEST_P(ReactorTransportTest, TinyReadBudgetStillDrainsLargeBursts) {
   });
   int bad = 0;
   std::vector<std::pair<std::uint64_t, SocketTransport::FetchTicket>> window;
-  for (std::uint64_t id = 0; id < 8; ++id) {
+  for (std::uint64_t id = 0; id < 4; ++id) {
     window.emplace_back(id, endpoints[1]->fetch_sample_start(0, id));
   }
   for (auto& [id, ticket] : window) {
@@ -384,15 +363,14 @@ TEST_P(ReactorTransportTest, TinyReadBudgetStillDrainsLargeBursts) {
   EXPECT_EQ(bad, 0);
 }
 
-TEST_P(ReactorTransportTest, AbruptPeerDeathReleasesGammaFromReactorPath) {
+TEST(ReactorTransport, AbruptPeerDeathReleasesGammaFromReactorPath) {
   // fork + _exit is the real crash shape: the child's transport never runs
   // a destructor, sends no teardown frames, and the kernel closes its
   // sockets.  The root's reactor must see EOF on the serve session that
   // carried the child's delta and drop the dead rank's outstanding
   // readers.  (Fork happens before EITHER transport exists, so the child
-  // inherits no reactor threads, ring fds, or locks.)
+  // inherits no reactor threads, epoll fds, or locks.)
   const std::uint16_t port = pick_free_port();
-  const ReactorBackend backend = GetParam();
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
@@ -404,7 +382,6 @@ TEST_P(ReactorTransportTest, AbruptPeerDeathReleasesGammaFromReactorPath) {
       options.world_size = 2;
       options.rendezvous_port = port;
       options.timeout_s = 30.0;
-      options.reactor_backend = backend;
       SocketTransport transport(options);
       std::atomic<int> gamma{-1};
       transport.set_pfs_listener([&](int g) { gamma = g; });
@@ -427,7 +404,6 @@ TEST_P(ReactorTransportTest, AbruptPeerDeathReleasesGammaFromReactorPath) {
   options.world_size = 2;
   options.rendezvous_port = port;
   options.timeout_s = 30.0;
-  options.reactor_backend = backend;
   SocketTransport root(options);
   std::atomic<int> gamma_at_root{-1};
   root.set_pfs_listener([&](int gamma) { gamma_at_root = gamma; });
@@ -450,11 +426,6 @@ TEST_P(ReactorTransportTest, AbruptPeerDeathReleasesGammaFromReactorPath) {
       << gamma_at_root.load() << ")";
   root.set_pfs_listener({});
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorTransportTest,
-                         ::testing::Values(ReactorBackend::kEpoll,
-                                           ReactorBackend::kIoUring),
-                         backend_case_name);
 
 }  // namespace
 }  // namespace nopfs::net

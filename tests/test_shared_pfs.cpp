@@ -379,20 +379,17 @@ TEST(SharedPfs, GammaDrainsToZeroAtCooperativeTeardown) {
 
 runtime::RuntimeResult run_socket_rank(const data::Dataset& dataset,
                                        const runtime::RuntimeConfig& config, int rank,
-                                       std::uint16_t port,
-                                       net::ReactorBackend backend) {
+                                       std::uint16_t port) {
   runtime::WorkerEndpoint endpoint;
   endpoint.rank = rank;
   endpoint.world_size = 2;
   endpoint.rendezvous_port = port;
   endpoint.timeout_s = 60.0;
-  endpoint.reactor = backend;
   return run_distributed(dataset, config, endpoint);
 }
 
 std::array<runtime::RuntimeResult, 2> run_socket_world(
-    const data::Dataset& dataset, const runtime::RuntimeConfig& config,
-    net::ReactorBackend backend = net::ReactorBackend::kAuto) {
+    const data::Dataset& dataset, const runtime::RuntimeConfig& config) {
   const std::uint16_t port = net::pick_free_port();
   std::array<runtime::RuntimeResult, 2> results;
   std::array<std::string, 2> errors;
@@ -401,7 +398,7 @@ std::array<runtime::RuntimeResult, 2> run_socket_world(
     ranks.emplace_back([&, r] {
       try {
         results[static_cast<std::size_t>(r)] =
-            run_socket_rank(dataset, config, r, port, backend);
+            run_socket_rank(dataset, config, r, port);
       } catch (const std::exception& ex) {
         errors[static_cast<std::size_t>(r)] = ex.what();
       }
@@ -463,34 +460,6 @@ TEST(SharedPfsParity, BatchedAndUnaryGossipAreObservationallyEquivalent) {
   EXPECT_EQ(batched_results[0].stats.pfs_fetches, unary_results[0].stats.pfs_fetches);
   EXPECT_EQ(batched_results[0].pfs_peak_gamma, unary_results[0].pfs_peak_gamma);
   EXPECT_EQ(batched_results[1].pfs_peak_gamma, unary_results[1].pfs_peak_gamma);
-}
-
-TEST(SharedPfsParity, ReactorBackendsAgreeOnBatchedSocketContention) {
-  // Cross-backend acceptance on the contention-heavy shape: the
-  // contention-batched-socket registry config run on the epoll reactor and
-  // on the io_uring reactor must deliver the same digest, the same PFS
-  // fetch counts, and the same gamma envelope.  This is the hardest parity
-  // surface — batched kPfsDelta gossip rides the same sessions as fetch
-  // replies, so any backend readiness bug skews what folds when.
-  if (!net::io_uring_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  const auto dataset = contention_dataset();
-  const runtime::RuntimeConfig config = scenario::runtime_config(
-      scenario::get("contention-batched-socket"), 2);
-
-  const auto epoll_results =
-      run_socket_world(dataset, config, net::ReactorBackend::kEpoll);
-  const auto uring_results =
-      run_socket_world(dataset, config, net::ReactorBackend::kIoUring);
-
-  EXPECT_EQ(epoll_results[0].reactor_backend, "epoll");
-  EXPECT_EQ(uring_results[0].reactor_backend, "io_uring");
-  EXPECT_EQ(uring_results[0].delivered_digest, epoll_results[0].delivered_digest);
-  EXPECT_EQ(uring_results[1].delivered_digest, epoll_results[1].delivered_digest);
-  EXPECT_EQ(uring_results[0].stats.pfs_fetches, epoll_results[0].stats.pfs_fetches);
-  EXPECT_EQ(uring_results[0].pfs_peak_gamma, epoll_results[0].pfs_peak_gamma);
-  EXPECT_EQ(uring_results[1].pfs_peak_gamma, epoll_results[1].pfs_peak_gamma);
 }
 
 TEST(SharedPfsParity, PerProcessOptOutDivergesOnGammaOnly) {

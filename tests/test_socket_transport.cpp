@@ -210,49 +210,6 @@ TEST(SocketTransport, FetchSampleRoundTrip) {
   EXPECT_FALSE(miss.has_value());
 }
 
-TEST(SocketTransport, MixedReactorBackendsInteroperateOnOneWorld) {
-  // The backend is a per-process choice, not a protocol revision: a world
-  // where rank 0 polls with epoll and rank 1 with io_uring must handshake
-  // and serve fetches both ways — the bytes on the wire are identical, and
-  // each side reports the backend it actually runs.
-  if (!io_uring_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  const std::uint16_t port = pick_free_port();
-  std::vector<std::unique_ptr<SocketTransport>> endpoints(2);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&, r] {
-      SocketOptions options;
-      options.rank = r;
-      options.world_size = 2;
-      options.rendezvous_port = port;
-      options.timeout_s = 30.0;
-      options.reactor_backend =
-          r == 0 ? ReactorBackend::kEpoll : ReactorBackend::kIoUring;
-      endpoints[static_cast<std::size_t>(r)] =
-          std::make_unique<SocketTransport>(options);
-    });
-  }
-  for (auto& t : threads) t.join();
-  ASSERT_NE(endpoints[0], nullptr);
-  ASSERT_NE(endpoints[1], nullptr);
-  EXPECT_STREQ(endpoints[0]->reactor_backend(), "epoll");
-  EXPECT_STREQ(endpoints[1]->reactor_backend(), "io_uring");
-
-  for (int serving = 0; serving < 2; ++serving) {
-    endpoints[static_cast<std::size_t>(serving)]->set_serve_handler(
-        [serving](std::uint64_t id) -> std::optional<Bytes> {
-          return Bytes{static_cast<std::uint8_t>(serving),
-                       static_cast<std::uint8_t>(id)};
-        });
-    const auto bytes =
-        endpoints[static_cast<std::size_t>(1 - serving)]->fetch_sample(serving, 9);
-    ASSERT_TRUE(bytes.has_value());
-    EXPECT_EQ(*bytes, (Bytes{static_cast<std::uint8_t>(serving), 9}));
-  }
-}
-
 TEST(SocketTransport, FetchWithoutHandlerIsMiss) {
   auto endpoints = make_world(2);
   EXPECT_FALSE(endpoints[0]->fetch_sample(1, 1).has_value());

@@ -3,13 +3,16 @@
 // guided grants cover the grid exactly once (with idempotent duplicate
 // folds at the tail), checkpoints survive a round-trip and reject foreign
 // grids, a 1-rank service run is bit-identical to the local SweepRunner,
-// a 3-rank socket world matches the serial digest, and an interrupted
+// a 3-rank socket world matches the serial digest, a worker that pulls
+// before rank 0 installs the service waits instead of failing, corrupt
+// result counts are rejected before any allocation, and an interrupted
 // sweep resumes bit-identically without re-executing any completed cell.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/sim_transport.hpp"
 #include "net/socket_transport.hpp"
 #include "net/wire.hpp"
 #include "sim/sweep_service.hpp"
@@ -94,6 +98,15 @@ TEST(SweepWire, DecodersThrowOnTruncationAndTrailingBytes) {
   std::vector<std::uint8_t> batch =
       wire::encode_sweep_result_batch({1, 0, {cell_result(5)}});
   batch.pop_back();  // truncated result
+  EXPECT_THROW((void)wire::decode_sweep_result_batch(batch), std::runtime_error);
+}
+
+TEST(SweepWire, ResultBatchRejectsCountThePayloadCannotHold) {
+  // A corrupt result count must fail as a wire error, not reach reserve().
+  std::vector<std::uint8_t> batch =
+      wire::encode_sweep_result_batch({1, 0, {cell_result(5)}});
+  // Layout: u32 seq, u64 first, u32 count, results.
+  std::fill(batch.begin() + 12, batch.begin() + 16, std::uint8_t{0xFF});
   EXPECT_THROW((void)wire::decode_sweep_result_batch(batch), std::runtime_error);
 }
 
@@ -379,6 +392,39 @@ TEST(SweepService, ThreeRankSocketWorldMatchesSerialDigest) {
     SCOPED_TRACE("cell " + std::to_string(i));
     expect_results_identical(root.results[i], expected[i]);
   }
+}
+
+TEST(SweepService, WorkerPullingBeforeRootInstallsServiceWaits) {
+  // Rank 0 enters the sweep late: its worker's first pull must wait for the
+  // service instead of reading the missing service as a lost rank 0.
+  constexpr std::uint64_t kCells = 6;
+  auto transports = net::make_sim_transports(2);
+  std::vector<SweepServiceReport> reports(2);
+  std::vector<std::string> errors(2);
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < 2; ++r) {
+    ranks.emplace_back([&, r] {
+      try {
+        if (r == 0) std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        SweepServiceOptions service;
+        service.num_threads = 1;
+        reports[static_cast<std::size_t>(r)] = run_sweep_service(
+            transports[static_cast<std::size_t>(r)].get(), kCells, cell_result,
+            0x5747u, service);
+      } catch (const std::exception& ex) {
+        errors[static_cast<std::size_t>(r)] = ex.what();
+        // A failed worker still meets rank 0's completion barrier, so the
+        // failure is reported instead of hanging the test.
+        if (r != 0) transports[static_cast<std::size_t>(r)]->barrier();
+      }
+    });
+  }
+  for (auto& t : ranks) t.join();
+  EXPECT_EQ(errors[0], "");
+  EXPECT_EQ(errors[1], "");
+  ASSERT_EQ(reports[0].results.size(), kCells);
+  EXPECT_EQ(sweep_results_digest(reports[0].results),
+            sweep_results_digest(direct_results(kCells)));
 }
 
 TEST(SweepService, InterruptThenResumeIsBitIdenticalWithZeroReexecution) {
