@@ -9,8 +9,12 @@
 //     reached the corresponding access stream location, the remote worker
 //     likely has, too"),
 //   - the PFS (case 0, always available).
-// A remote miss (the heuristic's false positive) is detected and falls back
-// to the PFS; the paper confirms these are rare, and our stats record them.
+// The clairvoyant fill schedule (FillSchedule) decides which worker reads
+// each planned sample from the PFS and when every other holder's copy
+// appears; the heuristic is applied to it.  A remote miss (the heuristic's
+// false positive) is detected, retries the sample's designated reader, and
+// then falls back to the PFS; the paper confirms these are rare, and our
+// stats record them.
 //
 // When a sample that this worker *plans* to cache is needed before its
 // class prefetcher got to it, the router caches it on the way through
@@ -24,6 +28,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/access_stream.hpp"
 #include "core/cache_policy.hpp"
 #include "core/metadata_store.hpp"
 #include "core/perf_model.hpp"
@@ -33,27 +38,69 @@
 
 namespace nopfs::core {
 
-/// Estimates whether a peer has already prefetched a sample, from the
-/// allgathered plans plus this worker's own per-class progress.
-class RemoteReadiness {
+/// The clairvoyant fill schedule (DESIGN.md Sec. 12): who reads each
+/// planned sample from the PFS, and when every other holder's copy appears.
+///
+/// Every rank derives the same table from the allgathered plans and the
+/// seed's epoch orders.  The designated reader d(S) of a sample is its
+/// epoch-0 consumer when that rank plans it; otherwise one of its holders,
+/// picked by a deterministic hash, so PFS reads spread evenly.  Only d(S)
+/// prefetches S from the PFS, in epoch-0 need order.  Every other holder
+/// materializes its copy lazily at its own first access of S (always in
+/// epoch >= 1), from a peer that already has it.
+class FillSchedule {
  public:
-  RemoteReadiness() = default;
+  FillSchedule() = default;
 
-  /// Builds position maps from every worker's plan.
-  explicit RemoteReadiness(const std::vector<CachePlan>& plans);
+  /// Builds the schedule from every worker's plan (indexed by rank) and the
+  /// access-stream generator; `self_rank` selects whose fill order is kept.
+  /// Throws std::invalid_argument when a plan names a sample outside the
+  /// dataset.
+  FillSchedule(const std::vector<CachePlan>& plans,
+               const AccessStreamGenerator& generator, int self_rank);
 
-  /// Position of `sample` in `peer`'s class-`cls` prefetch order, or -1.
-  [[nodiscard]] std::int64_t position(int peer, int cls, data::SampleId sample) const;
+  /// Designated PFS reader of `sample`, or -1 when no worker plans it.
+  [[nodiscard]] int reader(data::SampleId sample) const noexcept;
 
-  /// The heuristic: peer has likely cached `sample` (class `cls`) if this
-  /// worker's class-`cls` prefetcher has passed the sample's position in the
-  /// peer's plan (load-balance assumption).
-  [[nodiscard]] bool likely_cached(int peer, int cls, data::SampleId sample,
-                                   std::uint64_t self_progress) const;
+  /// Storage class in which `rank` plans `sample`, or -1.
+  [[nodiscard]] int class_at(int rank, data::SampleId sample) const noexcept;
+
+  /// First epoch in which `rank` holds its copy of `sample`: 0 for the
+  /// designated reader, the epoch of the first access for any other
+  /// holder; -1 when `rank` does not plan it.
+  [[nodiscard]] int copy_epoch(int rank, data::SampleId sample) const noexcept;
+
+  /// Samples this worker reads from the PFS into class `cls`, in epoch-0
+  /// need order (the class prefetcher's work list).
+  [[nodiscard]] const std::vector<data::SampleId>& fill_order(int cls) const;
+
+  /// The readiness heuristic (paper Sec. 5.2.2, "if local prefetching has
+  /// reached the corresponding access stream location, the remote worker
+  /// likely has, too"), applied to the schedule: `peer`'s copy of `sample`
+  /// is likely there for an access in epoch `epoch` when
+  ///   - `peer` is the reader: from epoch 1 on, or once `self_progress`
+  ///     (this worker's own fill progress in the class `peer` holds the
+  ///     sample in) has passed the sample's position in the reader's fill
+  ///     order;
+  ///   - `peer` is another holder: once the epoch of its first access is
+  ///     over.
+  [[nodiscard]] bool likely_cached(int peer, data::SampleId sample,
+                                   std::uint64_t self_progress, int epoch) const noexcept;
 
  private:
-  // [peer][cls]: sample -> position in prefetch order.
-  std::vector<std::vector<std::unordered_map<data::SampleId, std::uint32_t>>> positions_;
+  struct Holding {
+    std::int32_t rank = -1;
+    std::int32_t cls = -1;
+    std::uint32_t copy_epoch = 0;
+  };
+  [[nodiscard]] const Holding* find(int rank, data::SampleId sample) const noexcept;
+  [[nodiscard]] Holding* find(int rank, data::SampleId sample) noexcept;
+
+  std::vector<std::int32_t> reader_;      ///< per sample; -1 = unplanned
+  std::vector<std::uint32_t> fill_pos_;   ///< per sample: index in reader's fill order
+  std::vector<std::uint32_t> offsets_;    ///< per sample: start of its holdings (CSR)
+  std::vector<Holding> holdings_;
+  std::vector<std::vector<data::SampleId>> fill_order_;  ///< self, per class
 };
 
 /// Per-source fetch statistics (drives the Fig. 12 breakdown).
@@ -76,7 +123,10 @@ struct FetchStats {
 struct RouterOptions {
   bool use_remote = true;               ///< allow case-1 fetches
   bool use_watermark_heuristic = true;  ///< gate remote on readiness estimate
-  bool cache_on_miss = true;            ///< cache planned samples when routed
+  /// Cache a sample this worker reads for the fill when the staging path
+  /// needs it first (load smoothing).  Peer copies of the worker's other
+  /// planned samples are made on that path regardless.
+  bool cache_on_miss = true;
 };
 
 class FetchRouter {
@@ -84,23 +134,23 @@ class FetchRouter {
   /// `devices` and `pfs` may be nullptr for untimed tests; `transport` may
   /// be nullptr when use_remote is false or world size is 1.
   FetchRouter(int rank, const PerfModel& model, const CachePlan& self_plan,
-              const LocationIndex& locations, const RemoteReadiness& readiness,
+              const LocationIndex& locations, const FillSchedule& schedule,
               MetadataStore& metadata,
               std::vector<std::unique_ptr<StorageBackend>>& backends,
               SampleSource& source, net::Transport* transport,
               tiers::WorkerDevices* devices, RouterOptions options);
 
-  /// Fetches the bytes of `sample` from the fastest available source
-  /// (staging-prefetcher path).  If this worker plans to cache the sample
-  /// and nobody is already fetching it, the bytes are cached on the way
-  /// through; if another thread is mid-fetch, this call waits for that
-  /// fetch and serves the result locally — planned samples hit the PFS at
-  /// most once per worker.
-  [[nodiscard]] Bytes fetch(data::SampleId sample, double size_mb);
+  /// Fetches the bytes of `sample`, accessed in epoch `epoch`, from the
+  /// fastest available source (staging-prefetcher path).  If this worker
+  /// plans to cache the sample and nobody is already fetching it, the bytes
+  /// are cached on the way through; if another thread is mid-fetch, this
+  /// call waits for that fetch and serves the result locally — planned
+  /// samples are materialized at most once per worker.
+  [[nodiscard]] Bytes fetch(data::SampleId sample, double size_mb, int epoch);
 
-  /// Class-prefetcher path: fetches and caches `sample` into its planned
-  /// class unless it is already cached or another thread claimed it.
-  /// Returns true if this call did the caching.
+  /// Class-prefetcher path: fetches and caches `sample` (one this worker
+  /// reads for the fill) unless it is already cached or another thread
+  /// claimed it.  Returns true if this call did the caching.
   bool prefetch_planned(data::SampleId sample, double size_mb);
 
   /// Advances this worker's class-`cls` prefetch progress (used by the
@@ -118,8 +168,13 @@ class FetchRouter {
 
  private:
   /// Fetches from the fastest remote/PFS source per the model (no local
-  /// check, no caching).
-  [[nodiscard]] Bytes fetch_from_source(data::SampleId sample, double size_mb);
+  /// check, no caching).  The designated reader goes straight to the PFS; a
+  /// remote miss at another holder retries the reader before the PFS.
+  [[nodiscard]] Bytes fetch_from_source(data::SampleId sample, double size_mb, int epoch);
+
+  /// One fetch_sample call, counted as a remote fetch or a remote miss.
+  [[nodiscard]] std::optional<Bytes> fetch_remote(int peer, data::SampleId sample,
+                                                  double size_mb);
 
   /// Claims the right to materialize `sample` locally.  False if already
   /// cached or claimed by another thread.
@@ -136,7 +191,7 @@ class FetchRouter {
   const PerfModel& model_;
   const CachePlan& self_plan_;
   const LocationIndex& locations_;
-  const RemoteReadiness& readiness_;
+  const FillSchedule& schedule_;
   MetadataStore& metadata_;
   std::vector<std::unique_ptr<StorageBackend>>& backends_;
   SampleSource& source_;

@@ -69,7 +69,9 @@ void Job::start() {
     all_plans_.push_back(plan_);
   }
   locations_ = LocationIndex(all_plans_, rank_);
-  readiness_ = RemoteReadiness(all_plans_);
+  // Clairvoyant fill: who reads each sample from the PFS, and when every
+  // other holder's peer copy appears.
+  schedule_ = FillSchedule(all_plans_, generator_, rank_);
 
   // Storage backends for classes 1..J.
   backends_.clear();
@@ -88,7 +90,7 @@ void Job::start() {
   staging_ = std::make_unique<StagingBuffer>(
       util::mb_to_bytes(system_.node.staging.capacity_mb));
 
-  router_ = std::make_unique<FetchRouter>(rank_, model_, plan_, locations_, readiness_,
+  router_ = std::make_unique<FetchRouter>(rank_, model_, plan_, locations_, schedule_,
                                           metadata_, backends_, source_, transport_,
                                           devices_, options_.router);
 
@@ -103,11 +105,11 @@ void Job::start() {
 
   for (std::size_t cls = 0; cls < backends_.size(); ++cls) {
     class_prefetchers_.push_back(std::make_unique<ClassPrefetcher>(
-        static_cast<int>(cls), plan_.per_class[cls], dataset_, *router_, metadata_,
-        backends_, devices_, system_.node.classes[cls].prefetch_threads));
+        static_cast<int>(cls), schedule_.fill_order(static_cast<int>(cls)), dataset_,
+        *router_, system_.node.classes[cls].prefetch_threads));
   }
   staging_prefetcher_ = std::make_unique<StagingPrefetcher>(
-      stream_, dataset_, *staging_, *router_, devices_,
+      stream_, options_.num_epochs, dataset_, *staging_, *router_, devices_,
       system_.node.preprocess_mbps, options_.time_scale,
       system_.node.staging.prefetch_threads, transport_);
 

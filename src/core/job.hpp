@@ -144,7 +144,7 @@ class Job {
   CachePlan plan_;
   std::vector<CachePlan> all_plans_;
   LocationIndex locations_;
-  RemoteReadiness readiness_;
+  FillSchedule schedule_;
   MetadataStore metadata_;
   std::vector<std::unique_ptr<StorageBackend>> backends_;
   std::unique_ptr<StagingBuffer> staging_;

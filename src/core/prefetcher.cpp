@@ -6,18 +6,13 @@
 
 namespace nopfs::core {
 
-ClassPrefetcher::ClassPrefetcher(int cls, const ClassPlan& plan,
+ClassPrefetcher::ClassPrefetcher(int cls, const std::vector<data::SampleId>& samples,
                                  const data::Dataset& dataset, FetchRouter& router,
-                                 MetadataStore& metadata,
-                                 std::vector<std::unique_ptr<StorageBackend>>& backends,
-                                 tiers::WorkerDevices* devices, int num_threads)
+                                 int num_threads)
     : cls_(cls),
-      plan_(plan),
+      samples_(samples),
       dataset_(dataset),
       router_(router),
-      metadata_(metadata),
-      backends_(backends),
-      devices_(devices),
       num_threads_(num_threads < 1 ? 1 : num_threads) {}
 
 ClassPrefetcher::~ClassPrefetcher() { stop(); }
@@ -45,15 +40,15 @@ void ClassPrefetcher::join() {
 }
 
 bool ClassPrefetcher::done() const noexcept {
-  return completed_.load(std::memory_order_acquire) >= plan_.samples.size();
+  return completed_.load(std::memory_order_acquire) >= samples_.size();
 }
 
 void ClassPrefetcher::thread_main() {
   for (;;) {
     if (stop_.load(std::memory_order_relaxed)) return;
     const std::uint64_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= plan_.samples.size()) return;
-    const data::SampleId sample = plan_.samples[i];
+    if (i >= samples_.size()) return;
+    const data::SampleId sample = samples_[i];
     // prefetch_planned claims, fetches and stores; it is a no-op when the
     // staging path (load-imbalance smoothing) already cached or claimed
     // the sample — planned samples are materialized exactly once.
@@ -66,11 +61,13 @@ void ClassPrefetcher::thread_main() {
 }
 
 StagingPrefetcher::StagingPrefetcher(const std::vector<data::SampleId>& stream,
-                                     const data::Dataset& dataset, StagingBuffer& buffer,
-                                     FetchRouter& router, tiers::WorkerDevices* devices,
+                                     int num_epochs, const data::Dataset& dataset,
+                                     StagingBuffer& buffer, FetchRouter& router,
+                                     tiers::WorkerDevices* devices,
                                      double preprocess_mbps, double time_scale,
                                      int num_threads, net::Transport* transport)
     : stream_(stream),
+      num_epochs_(static_cast<std::uint64_t>(num_epochs)),
       dataset_(dataset),
       buffer_(buffer),
       router_(router),
@@ -137,7 +134,9 @@ void StagingPrefetcher::thread_main() {
       if (transport_ != nullptr) transport_->publish_watermark(seq + 1);
     }
     const double mb = dataset_.size_mb(sample);
-    Bytes bytes = router_.fetch(sample, mb);
+    // Epochs are equally long, so this is the epoch of stream position seq.
+    const auto epoch = static_cast<int>(seq * num_epochs_ / stream_.size());
+    Bytes bytes = router_.fetch(sample, mb, epoch);
     // Preprocess and store into the staging buffer.  The model pipelines
     // them (write = max(s/beta, s/(w0/p0))); the emulation charges the
     // staging write via its token bucket and the preprocessing as a sleep,

@@ -1,9 +1,12 @@
 #pragma once
 // Prefetcher backends (paper Sec. 5.2.2).
 //
-// ClassPrefetcher: p_j threads fill storage class j with the worker's
-// planned samples in first-access order (Rule 1).  If the router already
-// cached a sample (load-imbalance smoothing), the prefetcher skips it.
+// ClassPrefetcher: p_j threads fill storage class j with the planned samples
+// this worker is the designated PFS reader of, in epoch-0 need order
+// (Rule 1 applied job-wide; core::FillSchedule).  The worker's other planned
+// samples arrive lazily, as peer copies at their first access.  If the
+// router already cached a sample (load-imbalance smoothing), the prefetcher
+// skips it.
 //
 // StagingPrefetcher: p_0 threads walk the worker's access stream R,
 // reserving staging-buffer slots in stream order from a shared dispenser,
@@ -22,14 +25,13 @@
 
 namespace nopfs::core {
 
-/// Fills one storage class with its planned samples.
+/// Fills one storage class with the samples this worker reads for the fill.
 class ClassPrefetcher {
  public:
-  /// `cls` indexes both `plan.per_class` and the router's backends.
-  ClassPrefetcher(int cls, const ClassPlan& plan, const data::Dataset& dataset,
-                  FetchRouter& router, MetadataStore& metadata,
-                  std::vector<std::unique_ptr<StorageBackend>>& backends,
-                  tiers::WorkerDevices* devices, int num_threads);
+  /// `cls` indexes the router's backends; `samples` is the class's fill
+  /// order (the prefetcher keeps a reference — the caller owns it).
+  ClassPrefetcher(int cls, const std::vector<data::SampleId>& samples,
+                  const data::Dataset& dataset, FetchRouter& router, int num_threads);
   ~ClassPrefetcher();
 
   ClassPrefetcher(const ClassPrefetcher&) = delete;
@@ -37,7 +39,7 @@ class ClassPrefetcher {
 
   void start();
   void stop();    ///< cooperative; joins threads
-  void join();    ///< waits for the plan to be fully prefetched
+  void join();    ///< waits for the fill order to be fully prefetched
 
   [[nodiscard]] bool done() const noexcept;
   [[nodiscard]] std::uint64_t fetched() const noexcept {
@@ -48,12 +50,9 @@ class ClassPrefetcher {
   void thread_main();
 
   int cls_;
-  const ClassPlan& plan_;
+  const std::vector<data::SampleId>& samples_;
   const data::Dataset& dataset_;
   FetchRouter& router_;
-  MetadataStore& metadata_;
-  std::vector<std::unique_ptr<StorageBackend>>& backends_;
-  tiers::WorkerDevices* devices_;
   int num_threads_;
   std::atomic<std::uint64_t> next_{0};
   std::atomic<std::uint64_t> fetched_{0};
@@ -65,9 +64,10 @@ class ClassPrefetcher {
 /// Fills the staging buffer with the access stream R.
 class StagingPrefetcher {
  public:
-  /// `stream` is worker-local R (sample ids in consumption order); the
-  /// prefetcher keeps a reference — the caller owns the storage.
-  StagingPrefetcher(const std::vector<data::SampleId>& stream,
+  /// `stream` is worker-local R (sample ids in consumption order) of
+  /// `num_epochs` equal epochs; the prefetcher keeps a reference — the
+  /// caller owns the storage.
+  StagingPrefetcher(const std::vector<data::SampleId>& stream, int num_epochs,
                     const data::Dataset& dataset, StagingBuffer& buffer,
                     FetchRouter& router, tiers::WorkerDevices* devices,
                     double preprocess_mbps, double time_scale, int num_threads,
@@ -92,6 +92,7 @@ class StagingPrefetcher {
   void thread_main();
 
   const std::vector<data::SampleId>& stream_;
+  std::uint64_t num_epochs_;
   const data::Dataset& dataset_;
   StagingBuffer& buffer_;
   FetchRouter& router_;

@@ -229,6 +229,10 @@ struct SocketTransport::Session : std::enable_shared_from_this<Session> {
   /// the first one) — the dead-rank cleanup's owner handle.
   int pfs_rank_on_conn = -1;
 
+  /// Rank 0, kServe: kSweepPull frames that arrived before the first
+  /// set_sweep_service, served in arrival order once it is installed.
+  std::deque<wire::Frame> early_pulls;
+
   /// kRendezvous: the peer address captured at accept (its reachable IPv4).
   std::uint32_t peer_ipv4 = 0;
 };
@@ -1017,32 +1021,9 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
       pfs_apply_gamma(wire::decode_pfs_gamma(frame.payload));
       return;
     }
-    case wire::MsgType::kSweepPull: {
-      if (options_.rank != 0) {
-        throw std::runtime_error(
-            "SocketTransport: sweep frame at non-root rank");
-      }
-      const auto who = static_cast<int>(frame.header.arg);
-      if (who <= 0 || who >= total_ranks()) {
-        throw std::runtime_error(
-            "SocketTransport: sweep pull from invalid rank " +
-            std::to_string(who));
-      }
-      std::pair<bool, Bytes> reply;
-      {
-        const std::scoped_lock lock(sweep_mutex_);
-        if (!sweep_service_.on_pull) {
-          throw std::runtime_error(
-              "SocketTransport: sweep pull with no service installed");
-        }
-        reply = sweep_service_.on_pull(who, std::move(frame.payload));
-      }
-      loop_enqueue_reply(session,
-                         reply.first ? wire::MsgType::kSweepDone
-                                     : wire::MsgType::kSweepGrant,
-                         frame.header.arg, std::move(reply.second), 0.0);
+    case wire::MsgType::kSweepPull:
+      loop_sweep_pull(session, std::move(frame));
       return;
-    }
     case wire::MsgType::kSweepResult: {
       if (options_.rank != 0) {
         throw std::runtime_error(
@@ -1062,6 +1043,58 @@ void SocketTransport::loop_serve_frame(const std::shared_ptr<Session>& session,
     }
     default:
       throw std::runtime_error("SocketTransport: unexpected frame on serve conn");
+  }
+}
+
+void SocketTransport::loop_sweep_pull(const std::shared_ptr<Session>& session,
+                                      wire::Frame frame) {
+  if (options_.rank != 0) {
+    throw std::runtime_error("SocketTransport: sweep frame at non-root rank");
+  }
+  const auto who = static_cast<int>(frame.header.arg);
+  if (who <= 0 || who >= total_ranks()) {
+    throw std::runtime_error("SocketTransport: sweep pull from invalid rank " +
+                             std::to_string(who));
+  }
+  std::pair<bool, Bytes> reply;
+  {
+    const std::scoped_lock lock(sweep_mutex_);
+    if (!sweep_service_.on_pull) {
+      if (!sweep_service_installed_) {
+        // A worker (a late joiner launched with rank 0) can pull before
+        // rank 0 installs its service: park the pull, as early_gathers
+        // does for collectives, until set_sweep_service drains it.
+        session->early_pulls.push_back(std::move(frame));
+        return;
+      }
+      throw std::runtime_error("SocketTransport: sweep pull with no service installed");
+    }
+    reply = sweep_service_.on_pull(who, std::move(frame.payload));
+  }
+  loop_enqueue_reply(session,
+                     reply.first ? wire::MsgType::kSweepDone : wire::MsgType::kSweepGrant,
+                     frame.header.arg, std::move(reply.second), 0.0);
+}
+
+void SocketTransport::loop_serve_early_pulls() {
+  std::vector<std::shared_ptr<Session>> parked;
+  for (const auto& [fd, session] : loop_->sessions) {
+    if (!session->early_pulls.empty()) parked.push_back(session);
+  }
+  for (const auto& session : parked) {
+    try {
+      while (!session->early_pulls.empty() && session->state != Session::State::kClosed) {
+        wire::Frame frame = std::move(session->early_pulls.front());
+        session->early_pulls.pop_front();
+        loop_sweep_pull(session, std::move(frame));
+      }
+    } catch (const std::exception& ex) {
+      // Withdrawn again before the drain ran: the pull fails as a late one.
+      if (!stopping_.load(std::memory_order_acquire)) {
+        util::log_error("SocketTransport rank ", options_.rank, ": ", ex.what());
+      }
+      loop_close_session(session);
+    }
   }
 }
 
@@ -1310,8 +1343,19 @@ void SocketTransport::set_sweep_service(SweepService service) {
   }
   // Holding sweep_mutex_ fences withdrawal: the reactor invokes handlers
   // under the same mutex, so after this returns no old handler is running.
-  const std::scoped_lock lock(sweep_mutex_);
-  sweep_service_ = std::move(service);
+  bool first_install = false;
+  {
+    const std::scoped_lock lock(sweep_mutex_);
+    first_install = service.on_pull && !sweep_service_installed_;
+    if (service.on_pull) sweep_service_installed_ = true;
+    sweep_service_ = std::move(service);
+  }
+  // Pulls parked before this install were parked under the same mutex, so
+  // this post runs after every one of them.
+  if (first_install && reactor_ != nullptr &&
+      !stopping_.load(std::memory_order_acquire)) {
+    reactor_->post([this] { loop_serve_early_pulls(); });
+  }
 }
 
 std::optional<std::pair<bool, Bytes>> SocketTransport::sweep_pull(Bytes pull) {

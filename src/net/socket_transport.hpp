@@ -209,6 +209,8 @@ class SocketTransport final : public Transport {
                            wire::Frame frame);
   void loop_rendezvous_hello(const std::shared_ptr<Session>& session,
                              wire::Frame frame);
+  void loop_sweep_pull(const std::shared_ptr<Session>& session, wire::Frame frame);
+  void loop_serve_early_pulls();
   void loop_serve_frame(const std::shared_ptr<Session>& session,
                         wire::Frame frame);
   void loop_channel_reply(const std::shared_ptr<Session>& session,
@@ -307,6 +309,7 @@ class SocketTransport final : public Transport {
 
   std::mutex sweep_mutex_;  // guards sweep_service_ (install/withdraw fence)
   SweepService sweep_service_;
+  bool sweep_service_installed_ = false;  ///< a pull service was ever installed
 
   std::mutex collective_mutex_;  // collectives are one-at-a-time
   std::vector<PeerEndpoint> endpoints_;

@@ -359,7 +359,8 @@ SweepServiceReport run_sweep_service(
       // Start fence: no initial-world worker pulls before the service is
       // installed (a pull that beat it would read as "lost rank 0").  Late
       // joiners (rank >= world) are outside the collective and unfenced;
-      // an elastic joiner whose pull beats the install stops as done.
+      // a SocketTransport root parks a joiner pull that beats the install
+      // and answers it once the service is in.
       if (world > 1) transport->barrier();
     }
     // Rank 0 works the grid too, pulling straight from the scheduler.  At

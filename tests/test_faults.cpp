@@ -412,6 +412,72 @@ TEST(ElasticSweep, LateJoinerPullsAndDigestMatchesSerial) {
   EXPECT_GE(executed, kCells);
 }
 
+TEST(ElasticSweep, JoinerPullingBeforeServiceInstallIsServed) {
+  // The joiner pulls while rank 0 has not installed its sweep service yet.
+  // Rank 0 parks the pull and answers it once the service is installed, so
+  // the joiner takes part instead of stopping as done.
+  constexpr std::uint64_t kCells = 30;
+  constexpr int kBaseWorld = 2;
+  constexpr int kMaxWorld = 3;
+  const std::uint64_t signature = 0xEA51u;
+  const std::uint16_t port = net::pick_free_port();
+
+  std::vector<std::unique_ptr<net::SocketTransport>> transports(kMaxWorld);
+  {
+    std::vector<std::thread> ctors;
+    for (int r = 0; r < kMaxWorld; ++r) {
+      ctors.emplace_back([&, r] {
+        net::SocketOptions options;
+        options.rank = r;
+        options.world_size = kBaseWorld;
+        options.max_world = kMaxWorld;
+        options.rendezvous_port = port;
+        options.timeout_s = 60.0;
+        transports[static_cast<std::size_t>(r)] =
+            std::make_unique<net::SocketTransport>(options);
+      });
+    }
+    for (auto& t : ctors) t.join();
+  }
+  for (const auto& t : transports) ASSERT_NE(t, nullptr);
+
+  const auto evaluate = [](std::uint64_t i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return cell_result(i);
+  };
+  sim::SweepServiceOptions service;
+  service.num_threads = 1;
+  service.elastic = true;
+  service.max_workers = kMaxWorld;
+
+  std::vector<sim::SweepServiceReport> reports(kMaxWorld);
+  std::vector<std::string> errors(kMaxWorld);
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < kMaxWorld; ++r) {
+    ranks.emplace_back([&, r] {
+      try {
+        // Rank 0 installs its service well after the joiner's first pull.
+        if (r == 0) std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        reports[static_cast<std::size_t>(r)] = sim::run_sweep_service(
+            transports[static_cast<std::size_t>(r)].get(), kCells, evaluate,
+            signature, service);
+      } catch (const std::exception& ex) {
+        errors[static_cast<std::size_t>(r)] = ex.what();
+      }
+    });
+  }
+  for (auto& t : ranks) t.join();
+  for (int r = 0; r < kMaxWorld; ++r) {
+    EXPECT_EQ(errors[static_cast<std::size_t>(r)], "") << "rank " << r;
+  }
+  const sim::SweepServiceReport& root = reports[0];
+  EXPECT_EQ(root.stats.completed_cells, kCells);
+  ASSERT_EQ(root.results.size(), kCells);
+  EXPECT_EQ(sim::sweep_results_digest(root.results), serial_digest(kCells));
+  EXPECT_GT(reports[kBaseWorld].stats.executed_cells, 0u)
+      << "the parked pull must be answered with a grant";
+}
+
 TEST(ElasticSweep, WorkerDyingMidSweepKeepsDigestIdentity) {
   constexpr std::uint64_t kCells = 24;
   constexpr int kWorld = 2;

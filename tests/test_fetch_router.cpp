@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/fetch_router.hpp"
 #include "data/materialize.hpp"
 #include "net/sim_transport.hpp"
@@ -14,8 +16,7 @@ namespace {
 
 struct RouterFixture {
   RouterFixture() : dataset("fix", std::vector<float>(64, 0.001f)), source(dataset, nullptr) {
-    // System: 2 workers, one RAM class.
-    system.num_workers = 2;
+    // System: one RAM class; make_router sets the world size.
     system.node.network_mbps = 1000.0;
     system.node.compute_mbps = 50.0;
     system.node.preprocess_mbps = 500.0;
@@ -31,20 +32,33 @@ struct RouterFixture {
     system.node.classes = {ram};
   }
 
-  /// Builds router for rank 0; `plans` must have 2 entries.
+  /// Builds the router for rank 0 of a world of `plans.size()` workers.
   std::unique_ptr<FetchRouter> make_router(std::vector<CachePlan> plans,
                                            RouterOptions options,
                                            net::Transport* transport) {
+    system.num_workers = static_cast<int>(plans.size());
     model = std::make_unique<PerfModel>(system);
     self_plan = plans[0];
     locations = LocationIndex(plans, 0);
-    readiness = RemoteReadiness(plans);
+    generator =
+        std::make_unique<AccessStreamGenerator>(stream_config(system.num_workers));
+    schedule = FillSchedule(plans, *generator, 0);
     metadata = std::make_unique<MetadataStore>(1);
     backends.clear();
     backends.push_back(std::make_unique<MemoryBackend>(100.0));
-    return std::make_unique<FetchRouter>(0, *model, self_plan, locations, readiness,
+    return std::make_unique<FetchRouter>(0, *model, self_plan, locations, schedule,
                                          *metadata, backends, source, transport,
                                          nullptr, options);
+  }
+
+  static StreamConfig stream_config(int workers) {
+    StreamConfig config;
+    config.seed = 5;
+    config.num_samples = 64;
+    config.num_workers = workers;
+    config.num_epochs = 3;
+    config.global_batch = static_cast<std::uint64_t>(workers);
+    return config;
   }
 
   static CachePlan plan_with(std::initializer_list<data::SampleId> samples) {
@@ -63,31 +77,17 @@ struct RouterFixture {
   std::unique_ptr<PerfModel> model;
   CachePlan self_plan;
   LocationIndex locations;
-  RemoteReadiness readiness;
+  std::unique_ptr<AccessStreamGenerator> generator;
+  FillSchedule schedule;
   std::unique_ptr<MetadataStore> metadata;
   std::vector<std::unique_ptr<StorageBackend>> backends;
 };
-
-TEST(RemoteReadiness, PositionAndHeuristic) {
-  CachePlan peer;
-  peer.per_class.resize(1);
-  peer.per_class[0].samples = {10, 20, 30};
-  peer.class_of = {{10, 0}, {20, 0}, {30, 0}};
-  const RemoteReadiness readiness({CachePlan{}, peer});
-  EXPECT_EQ(readiness.position(1, 0, 20), 1);
-  EXPECT_EQ(readiness.position(1, 0, 99), -1);
-  EXPECT_EQ(readiness.position(0, 0, 10), -1);
-  // Heuristic: peer likely cached position 1 only once self progress > 1.
-  EXPECT_FALSE(readiness.likely_cached(1, 0, 20, 0));
-  EXPECT_FALSE(readiness.likely_cached(1, 0, 20, 1));
-  EXPECT_TRUE(readiness.likely_cached(1, 0, 20, 2));
-}
 
 TEST(FetchRouter, PfsFallbackWhenNothingCached) {
   RouterFixture fix;
   auto router = fix.make_router({RouterFixture::plan_with({}), RouterFixture::plan_with({})},
                                 RouterOptions{}, nullptr);
-  const Bytes bytes = router->fetch(5, fix.dataset.size_mb(5));
+  const Bytes bytes = router->fetch(5, fix.dataset.size_mb(5), 0);
   EXPECT_TRUE(data::verify_sample_content(5, bytes));
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
 }
@@ -98,11 +98,11 @@ TEST(FetchRouter, LocalHitAfterCached) {
       {RouterFixture::plan_with({5}), RouterFixture::plan_with({})}, RouterOptions{},
       nullptr);
   // First fetch: PFS + cache-on-miss into the planned class.
-  (void)router->fetch(5, fix.dataset.size_mb(5));
+  (void)router->fetch(5, fix.dataset.size_mb(5), 0);
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
   EXPECT_TRUE(fix.metadata->contains(5));
   // Second fetch: local.
-  const Bytes bytes = router->fetch(5, fix.dataset.size_mb(5));
+  const Bytes bytes = router->fetch(5, fix.dataset.size_mb(5), 0);
   EXPECT_TRUE(data::verify_sample_content(5, bytes));
   EXPECT_EQ(router->stats().local_fetches.load(), 1u);
 }
@@ -113,7 +113,7 @@ TEST(FetchRouter, CacheOnMissDisabled) {
   options.cache_on_miss = false;
   auto router = fix.make_router(
       {RouterFixture::plan_with({5}), RouterFixture::plan_with({})}, options, nullptr);
-  (void)router->fetch(5, fix.dataset.size_mb(5));
+  (void)router->fetch(5, fix.dataset.size_mb(5), 0);
   EXPECT_FALSE(fix.metadata->contains(5));
 }
 
@@ -122,7 +122,7 @@ TEST(FetchRouter, UnplannedSampleNotCached) {
   auto router = fix.make_router(
       {RouterFixture::plan_with({1}), RouterFixture::plan_with({})}, RouterOptions{},
       nullptr);
-  (void)router->fetch(9, fix.dataset.size_mb(9));
+  (void)router->fetch(9, fix.dataset.size_mb(9), 0);
   EXPECT_FALSE(fix.metadata->contains(9));
 }
 
@@ -141,10 +141,11 @@ TEST(FetchRouter, RemoteFetchThroughTransport) {
   auto router = fix.make_router(
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, RouterOptions{},
       transports[0].get());
-  // Watermark heuristic: peer plan has sample 7 at position 0; our class-0
-  // progress must exceed 0 for the remote to count as ready.
+  // Watermark heuristic: sample 7 sits at position 0 of the peer's fill
+  // order; our class-0 progress must exceed 0 for the remote to count as
+  // ready in epoch 0.
   router->note_class_progress(0);
-  const Bytes bytes = router->fetch(7, fix.dataset.size_mb(7));
+  const Bytes bytes = router->fetch(7, fix.dataset.size_mb(7), 0);
   EXPECT_TRUE(data::verify_sample_content(7, bytes));
   EXPECT_EQ(router->stats().remote_fetches.load(), 1u);
   EXPECT_EQ(router->stats().pfs_fetches.load(), 0u);
@@ -159,7 +160,7 @@ TEST(FetchRouter, WatermarkGatesRemote) {
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, RouterOptions{},
       transports[0].get());
   // No local progress yet -> heuristic says peer has not prefetched -> PFS.
-  (void)router->fetch(7, fix.dataset.size_mb(7));
+  (void)router->fetch(7, fix.dataset.size_mb(7), 0);
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
   EXPECT_EQ(router->stats().remote_fetches.load(), 0u);
 }
@@ -175,7 +176,7 @@ TEST(FetchRouter, RemoteMissFallsBackToPfs) {
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, RouterOptions{},
       transports[0].get());
   router->note_class_progress(0);
-  const Bytes bytes = router->fetch(7, fix.dataset.size_mb(7));
+  const Bytes bytes = router->fetch(7, fix.dataset.size_mb(7), 0);
   EXPECT_TRUE(data::verify_sample_content(7, bytes));
   EXPECT_EQ(router->stats().remote_misses.load(), 1u);
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
@@ -192,9 +193,128 @@ TEST(FetchRouter, RemoteDisabledByOption) {
       {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, options,
       transports[0].get());
   router->note_class_progress(0);
-  (void)router->fetch(7, fix.dataset.size_mb(7));
+  (void)router->fetch(7, fix.dataset.size_mb(7), 0);
   EXPECT_EQ(router->stats().remote_fetches.load(), 0u);
   EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
+}
+
+TEST(FetchRouter, ReaderIsReadyFromEpochOne) {
+  RouterFixture fix;
+  auto transports = net::make_sim_transports(2);
+  Bytes payload(util::mb_to_bytes(fix.dataset.size_mb(7)));
+  data::fill_sample_content(7, payload);
+  transports[1]->set_serve_handler(
+      [payload](std::uint64_t) -> std::optional<net::Bytes> { return payload; });
+  auto router = fix.make_router(
+      {RouterFixture::plan_with({}), RouterFixture::plan_with({7})}, RouterOptions{},
+      transports[0].get());
+  // No local fill progress, but the fill epoch is over.
+  (void)router->fetch(7, fix.dataset.size_mb(7), 1);
+  EXPECT_EQ(router->stats().remote_fetches.load(), 1u);
+  EXPECT_EQ(router->stats().pfs_fetches.load(), 0u);
+}
+
+TEST(FetchRouter, DesignatedReaderGoesToThePfs) {
+  RouterFixture fix;
+  auto transports = net::make_sim_transports(2);
+  transports[1]->set_serve_handler(
+      [](std::uint64_t) -> std::optional<net::Bytes> { return net::Bytes{1}; });
+  // Both workers plan every sample; sample k's reader is its epoch-0
+  // consumer.  Find one that rank 0 reads.
+  std::vector<data::SampleId> all(64);
+  for (data::SampleId k = 0; k < 64; ++k) all[k] = k;
+  CachePlan both;
+  both.per_class.resize(1);
+  both.per_class[0].samples = all;
+  for (const auto k : all) both.class_of[k] = 0;
+  RouterOptions options;
+  options.use_watermark_heuristic = false;
+  auto router = fix.make_router({both, both}, options, transports[0].get());
+  data::SampleId mine = 64;
+  for (data::SampleId k = 0; k < 64 && mine == 64; ++k) {
+    if (fix.schedule.reader(k) == 0) mine = k;
+  }
+  ASSERT_LT(mine, 64u);
+  EXPECT_TRUE(router->prefetch_planned(mine, fix.dataset.size_mb(mine)));
+  EXPECT_EQ(router->stats().pfs_fetches.load(), 1u);
+  EXPECT_EQ(router->stats().remote_fetches.load(), 0u);
+  EXPECT_EQ(router->stats().remote_misses.load(), 0u);
+}
+
+/// Three workers: rank 0 plans nothing, ranks 1 and 2 plan every sample.
+/// Returns a sample whose hashed remote holder (LocationIndex::best_remote
+/// from rank 0) is not its designated reader, so that holder copies the
+/// sample lazily in a later epoch.
+data::SampleId lazy_hashed_sample(std::vector<CachePlan>& plans) {
+  std::vector<data::SampleId> all(64);
+  for (data::SampleId k = 0; k < 64; ++k) all[k] = k;
+  CachePlan both;
+  both.per_class.resize(1);
+  both.per_class[0].samples = all;
+  for (const auto k : all) both.class_of[k] = 0;
+  plans = {RouterFixture::plan_with({}), both, both};
+  const LocationIndex index(plans, 0);
+  const AccessStreamGenerator generator(RouterFixture::stream_config(3));
+  const FillSchedule schedule(plans, generator, 0);
+  for (data::SampleId k = 0; k < 64; ++k) {
+    if (index.best_remote(k)->peer != schedule.reader(k)) return k;
+  }
+  ADD_FAILURE() << "no sample with a lazy hashed holder";
+  return 0;
+}
+
+TEST(FetchRouter, MissAtHashedHolderRetriesTheReader) {
+  RouterFixture fix;
+  std::vector<CachePlan> plans;
+  const data::SampleId s = lazy_hashed_sample(plans);
+  auto transports = net::make_sim_transports(3);
+  Bytes payload(util::mb_to_bytes(fix.dataset.size_mb(s)));
+  data::fill_sample_content(s, payload);
+  RouterOptions options;
+  options.use_watermark_heuristic = false;  // always try the hashed holder
+  auto router = fix.make_router(plans, options, transports[0].get());
+  const int reader = fix.schedule.reader(s);
+  for (int peer = 1; peer <= 2; ++peer) {
+    transports[static_cast<std::size_t>(peer)]->set_serve_handler(
+        [payload, serve = peer == reader](std::uint64_t) -> std::optional<net::Bytes> {
+          if (serve) return payload;
+          return std::nullopt;
+        });
+  }
+  const Bytes bytes = router->fetch(s, fix.dataset.size_mb(s), 1);
+  EXPECT_TRUE(data::verify_sample_content(s, bytes));
+  EXPECT_EQ(router->stats().remote_misses.load(), 1u);
+  EXPECT_EQ(router->stats().remote_fetches.load(), 1u);
+  EXPECT_EQ(router->stats().pfs_fetches.load(), 0u);
+}
+
+TEST(FetchRouter, UncopiedHashedHolderIsSkippedForTheReader) {
+  RouterFixture fix;
+  std::vector<CachePlan> plans;
+  const data::SampleId s = lazy_hashed_sample(plans);
+  auto transports = net::make_sim_transports(3);
+  Bytes payload(util::mb_to_bytes(fix.dataset.size_mb(s)));
+  data::fill_sample_content(s, payload);
+  auto router = fix.make_router(plans, RouterOptions{}, transports[0].get());
+  const int reader = fix.schedule.reader(s);
+  const int lazy = 3 - reader;
+  std::atomic<int> lazy_calls{0};
+  transports[static_cast<std::size_t>(reader)]->set_serve_handler(
+      [payload](std::uint64_t) -> std::optional<net::Bytes> { return payload; });
+  transports[static_cast<std::size_t>(lazy)]->set_serve_handler(
+      [&lazy_calls](std::uint64_t) -> std::optional<net::Bytes> {
+        ++lazy_calls;
+        return std::nullopt;
+      });
+  // An access in the epoch of the lazy holder's first access: its copy is
+  // not there yet, so the heuristic sends the fetch to the reader.
+  const int epoch = fix.schedule.copy_epoch(lazy, s);
+  ASSERT_GE(epoch, 1);
+  ASSERT_LT(epoch, 3);
+  (void)router->fetch(s, fix.dataset.size_mb(s), epoch);
+  EXPECT_EQ(lazy_calls.load(), 0);
+  EXPECT_EQ(router->stats().remote_fetches.load(), 1u);
+  EXPECT_EQ(router->stats().remote_misses.load(), 0u);
 }
 
 TEST(FetchRouter, LoadLocalServesOnlyCached) {
@@ -203,7 +323,7 @@ TEST(FetchRouter, LoadLocalServesOnlyCached) {
       {RouterFixture::plan_with({3}), RouterFixture::plan_with({})}, RouterOptions{},
       nullptr);
   EXPECT_FALSE(router->load_local(3).has_value());
-  (void)router->fetch(3, fix.dataset.size_mb(3));  // caches it
+  (void)router->fetch(3, fix.dataset.size_mb(3), 0);  // caches it
   const auto bytes = router->load_local(3);
   ASSERT_TRUE(bytes.has_value());
   EXPECT_TRUE(data::verify_sample_content(3, *bytes));

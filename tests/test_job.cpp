@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "core/job.hpp"
@@ -174,6 +175,116 @@ TEST(Job, MultiWorkerUsesRemoteFetches) {
   EXPECT_GT(remote_total, 0u);
   // Remote fetches displace a large share of the 1024 accesses' PFS reads.
   EXPECT_LT(pfs_total, 512u);
+}
+
+TEST(Job, ClairvoyantFillReadsEachSampleFromThePfsOnce) {
+  // Four workers whose caches hold the dataset twice over (each node caches
+  // half of it).  Over two epochs every worker accesses fewer distinct
+  // samples than it can cache, so it plans all of them: each sample's
+  // epoch-0 consumer reads it from the PFS once, and every other holder
+  // copies it from a peer at its first access.  Only a copy that misses at
+  // every peer may read the PFS again, and it counts its misses first.
+  constexpr int kN = 4;
+  constexpr std::uint64_t kF = 256;
+  const auto dataset = small_dataset(kF);
+  double total_mb = 0.0;
+  for (data::SampleId k = 0; k < kF; ++k) total_mb += dataset.size_mb(k);
+  const auto system = small_system(kN, /*ram_mb=*/total_mb / 2.0);
+  SyntheticPfsSource source(dataset, nullptr);
+  auto transports = net::make_sim_transports(kN);
+
+  std::vector<JobStats> stats(kN);
+  std::vector<std::uint64_t> planned(kN, 0);
+  std::vector<std::vector<data::SampleId>> delivered(kN);
+  std::vector<std::thread> threads;
+  for (int rank = 0; rank < kN; ++rank) {
+    threads.emplace_back([&, rank] {
+      Job job(dataset, system, rank, options_with(2, 32), source, transports[rank].get());
+      job.start();
+      while (auto sample = job.next()) delivered[rank].push_back(sample->id());
+      // Every rank has delivered everything before any rank stops serving.
+      transports[rank]->barrier();
+      stats[rank] = job.stats();
+      planned[rank] = job.cache_plan().total_samples();
+      job.stop();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::uint64_t pfs = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t cached = 0;
+  std::uint64_t plan_total = 0;
+  for (int rank = 0; rank < kN; ++rank) {
+    const std::set<data::SampleId> distinct(delivered[rank].begin(),
+                                            delivered[rank].end());
+    ASSERT_EQ(planned[rank], distinct.size())
+        << "rank " << rank << " must plan all it reads";
+    pfs += stats[rank].pfs_fetches;
+    misses += stats[rank].remote_misses;
+    cached += stats[rank].cached_samples;
+    plan_total += planned[rank];
+  }
+  EXPECT_LE(pfs - misses, kF);
+  EXPECT_EQ(cached, plan_total);
+  EXPECT_GT(plan_total, kF) << "the shape must exercise peer copies";
+}
+
+TEST(Job, DesignatedReaderGoneFallsBackToThePfs) {
+  // Rank 3 leaves right after start(): it stops serving, so every sample it
+  // is the designated reader of, and every copy it would have held, must
+  // reach the survivors through a detected miss and the PFS fallback.
+  constexpr int kN = 4;
+  constexpr std::uint64_t kF = 256;
+  const auto dataset = small_dataset(kF);
+  double total_mb = 0.0;
+  for (data::SampleId k = 0; k < kF; ++k) total_mb += dataset.size_mb(k);
+  const auto system = small_system(kN, /*ram_mb=*/total_mb / 2.0);
+  SyntheticPfsSource source(dataset, nullptr);
+  auto transports = net::make_sim_transports(kN);
+
+  std::vector<std::vector<data::SampleId>> delivered(kN);
+  std::vector<std::uint64_t> bad_content(kN, 0);
+  std::vector<JobStats> stats(kN);
+  std::vector<std::thread> threads;
+  for (int rank = 0; rank < kN; ++rank) {
+    threads.emplace_back([&, rank] {
+      JobOptions options = options_with(3, 32);
+      // Without the gate every remote candidate is tried, so the gone rank
+      // is certain to be asked.
+      options.router.use_watermark_heuristic = false;
+      Job job(dataset, system, rank, options, source, transports[rank].get());
+      job.start();
+      if (rank == kN - 1) {
+        job.stop();
+        return;
+      }
+      while (auto sample = job.next()) {
+        delivered[rank].push_back(sample->id());
+        if (!data::verify_sample_content(sample->id(), sample->data())) {
+          ++bad_content[rank];
+        }
+      }
+      stats[rank] = job.stats();
+      job.stop();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  StreamConfig config;
+  config.seed = 77;
+  config.num_samples = kF;
+  config.num_workers = kN;
+  config.num_epochs = 3;
+  config.global_batch = 32;
+  const AccessStreamGenerator gen(config);
+  std::uint64_t misses = 0;
+  for (int rank = 0; rank < kN - 1; ++rank) {
+    EXPECT_EQ(delivered[rank], gen.worker_stream(rank)) << "rank " << rank;
+    EXPECT_EQ(bad_content[rank], 0u) << "rank " << rank;
+    misses += stats[rank].remote_misses;
+  }
+  EXPECT_GT(misses, 0u) << "the survivors must have asked the gone rank";
 }
 
 TEST(Job, StopMidStreamIsClean) {
