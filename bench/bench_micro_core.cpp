@@ -7,8 +7,9 @@
 // google-benchmark suite, it measures simulate() throughput on the
 // "micro-core" registry scenario, the sweep engine's 1-thread vs
 // NOPFS_SWEEP_THREADS/8-thread wall-clock on the "micro-sweep" scenario
-// grid, SocketTransport loopback round-trips, and the critical-path
-// what-if walk rate on the "micro-critpath" recording, and writes the numbers as
+// grid, SocketTransport loopback round-trips, the critical-path what-if
+// walk rate on the "micro-critpath" recording, and the cache-plan build
+// rate over a 1M-access stream, and writes the numbers as
 // a flat `"results"` map (default BENCH_micro.json) whose keys are
 // `<scenario>.<metric>` — stable across PRs, which is what lets CI diff
 // them against bench/BENCH_baseline.json (tools/compare_bench.py).
@@ -157,7 +158,7 @@ void BM_PlanEncodeDecode(benchmark::State& state) {
   const auto plan =
       core::compute_cache_plan(gen, 0, dataset, tiers::presets::sim_cluster(8).node);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::decode_plan(core::encode_plan(plan)));
+    benchmark::DoNotOptimize(core::decode_plan(core::encode_plan(plan), f));
   }
 }
 BENCHMARK(BM_PlanEncodeDecode)->Arg(100'000);
@@ -640,6 +641,26 @@ int run_json_mode(const std::string& path) {
            static_cast<double>(models.size()) / elapsed;
   });
 
+  // Cache-plan build rate: compute_cache_plan over one rank's stream of
+  // 1,024,000 accesses (F = 512k, 2 workers, 4 epochs), caching about half
+  // of what the rank touches -- the largest compute of a Job's set-up.
+  const core::AccessStreamGenerator plan_gen(stream_config(512'000, 2, 4));
+  const data::Dataset plan_dataset("plan", std::vector<float>(512'000, 0.1f));
+  tiers::NodeParams plan_node = tiers::presets::sim_cluster(2).node;
+  plan_node.classes.resize(1);
+  plan_node.classes[0].capacity_mb = 24'000.0;
+  const double plan_accesses =
+      static_cast<double>(plan_gen.config().samples_per_worker_epoch()) *
+      plan_gen.config().num_epochs;
+  const double cache_plan_accesses_per_s = best_of(3, [&] {
+    const double start = now_s();
+    const core::CachePlan plan =
+        core::compute_cache_plan(plan_gen, 0, plan_dataset, plan_node);
+    const double elapsed = now_s() - start;
+    if (plan.total_samples() == 0 || elapsed <= 0.0) return 0.0;
+    return plan_accesses / elapsed;
+  });
+
   std::ofstream out(path);
   if (!out) {
     std::cerr << "cannot write " << path << "\n";
@@ -680,6 +701,8 @@ int run_json_mode(const std::string& path) {
       << "    \"socket-loopback.pfs_gossip_transitions_per_s\": " << pfs_gossip_per_s
       << ",\n"
       << "    \"micro-critpath.critpath_edges_per_s\": " << critpath_edges_per_s
+      << ",\n"
+      << "    \"micro-core.cache_plan_accesses_per_s\": " << cache_plan_accesses_per_s
       << "\n"
       << "  }\n"
       << "}\n";
@@ -695,7 +718,9 @@ int run_json_mode(const std::string& path) {
             << pfs_cycles_per_s << " cycles/s  |  batched gossip: "
             << pfs_gossip_per_s << " transitions/s\ncritpath walks: "
             << critpath_edges_per_s << " edges/s ("
-            << builder.graph().num_edges() << "-edge graph)\nwrote " << path
+            << builder.graph().num_edges() << "-edge graph)\ncache plan: "
+            << cache_plan_accesses_per_s << " accesses/s (" << plan_accesses
+            << "-access stream)\nwrote " << path
             << "\n";
   return 0;
 }

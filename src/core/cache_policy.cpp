@@ -8,45 +8,70 @@
 namespace nopfs::core {
 
 std::optional<int> CachePlan::find(data::SampleId sample) const {
-  const auto it = class_of.find(sample);
-  if (it == class_of.end()) return std::nullopt;
-  return it->second;
+  if (sample >= class_of.size() || class_of[sample] < 0) return std::nullopt;
+  return class_of[sample];
 }
 
-std::size_t CachePlan::total_samples() const { return class_of.size(); }
+void CachePlan::add(data::SampleId sample, int cls, double size_mb) {
+  const auto c = static_cast<std::size_t>(cls);
+  if (c >= per_class.size()) per_class.resize(c + 1);
+  if (sample >= class_of.size()) class_of.resize(sample + 1, -1);
+  per_class[c].samples.push_back(sample);
+  per_class[c].planned_mb += size_mb;
+  class_of[sample] = cls;
+}
+
+std::size_t CachePlan::total_samples() const {
+  std::size_t total = 0;
+  for (const auto& class_plan : per_class) total += class_plan.samples.size();
+  return total;
+}
 
 CachePlan compute_cache_plan(const AccessStreamGenerator& gen, int rank,
                              const data::Dataset& dataset,
                              const tiers::NodeParams& node) {
-  // One pass over R: exact frequency and first-access position per sample.
-  struct Info {
-    std::uint32_t frequency = 0;
-    std::uint64_t first_access = 0;
-  };
-  std::unordered_map<data::SampleId, Info> info;
+  const std::uint64_t f = gen.config().num_samples;
+
+  // One walk of R: per sample, the rank key 2 * frequency + (consumed in
+  // epoch 0), 0 = never accessed; and the distinct samples in first-access
+  // order.  A sample is consumed at most once per epoch, so one consumed in
+  // epoch 0 is first accessed there.
+  std::vector<std::uint32_t> key(f, 0);
+  std::vector<data::SampleId> first_seen;
+  std::uint32_t max_key = 0;
   gen.for_each_access(rank, [&](const Access& access) {
-    auto [it, inserted] = info.try_emplace(access.sample);
-    if (inserted) it->second.first_access = access.position;
-    ++it->second.frequency;
+    std::uint32_t& k = key[access.sample];
+    if (k == 0) {
+      first_seen.push_back(access.sample);
+      if (access.epoch == 0) k = 1;
+    }
+    k += 2;
+    max_key = std::max(max_key, k);
   });
 
-  // Frequency-ordered candidate list (deterministic tie-break by id).
-  std::vector<std::pair<data::SampleId, Info>> candidates(info.begin(), info.end());
-  std::sort(candidates.begin(), candidates.end(), [](const auto& a, const auto& b) {
-    if (a.second.frequency != b.second.frequency) {
-      return a.second.frequency > b.second.frequency;
-    }
-    return a.first < b.first;
-  });
+  // Candidate order by counting sort: hottest key first, ids ascending
+  // within a key.
+  std::vector<std::uint64_t> next(static_cast<std::size_t>(max_key) + 1, 0);
+  for (const data::SampleId sample : first_seen) ++next[key[sample]];
+  std::uint64_t begin = 0;
+  for (std::size_t k = next.size(); k-- > 1;) {
+    const std::uint64_t count = next[k];
+    next[k] = begin;
+    begin += count;
+  }
+  std::vector<data::SampleId> candidates(first_seen.size());
+  for (data::SampleId sample = 0; sample < f; ++sample) {
+    if (key[sample] != 0) candidates[next[key[sample]]++] = sample;
+  }
 
   CachePlan plan;
   plan.per_class.resize(node.classes.size());
-  plan.class_of.reserve(candidates.size());
+  plan.class_of.assign(f, -1);
 
   // Greedy fill: hottest samples into the fastest class, spill downward.
   std::size_t cls = 0;
   double used_mb = 0.0;
-  for (const auto& [sample, meta] : candidates) {
+  for (const data::SampleId sample : candidates) {
     const double size = dataset.size_mb(sample);
     while (cls < node.classes.size() &&
            used_mb + size > node.classes[cls].capacity_mb) {
@@ -54,18 +79,15 @@ CachePlan compute_cache_plan(const AccessStreamGenerator& gen, int rank,
       used_mb = 0.0;
     }
     if (cls >= node.classes.size()) break;  // local storage D exhausted
-    plan.per_class[cls].samples.push_back(sample);
     plan.per_class[cls].planned_mb += size;
-    plan.class_of.emplace(sample, static_cast<int>(cls));
+    plan.class_of[sample] = static_cast<std::int32_t>(cls);
     used_mb += size;
   }
 
   // Prefetch order within each class = order of first access in R (Rule 1).
-  for (auto& class_plan : plan.per_class) {
-    std::sort(class_plan.samples.begin(), class_plan.samples.end(),
-              [&](data::SampleId a, data::SampleId b) {
-                return info.at(a).first_access < info.at(b).first_access;
-              });
+  for (const data::SampleId sample : first_seen) {
+    const std::int32_t c = plan.class_of[sample];
+    if (c >= 0) plan.per_class[static_cast<std::size_t>(c)].samples.push_back(sample);
   }
   return plan;
 }
@@ -90,109 +112,36 @@ std::vector<std::uint8_t> encode_plan(const CachePlan& plan) {
   return bytes;
 }
 
-CachePlan decode_plan(const std::vector<std::uint8_t>& bytes) {
+CachePlan decode_plan(const std::vector<std::uint8_t>& bytes, std::uint64_t num_samples) {
+  // Every count comes off the wire, so each is bounded by the bytes that
+  // remain before it sizes anything: a class needs at least its u64 count,
+  // a sample its u64 id.
   CachePlan plan;
   net::wire::Reader reader(bytes);
-  try {
-    const std::uint32_t num_classes = reader.u32();
-    plan.per_class.resize(num_classes);
-    for (auto& class_plan : plan.per_class) {
-      const std::uint64_t count = reader.u64();
-      class_plan.samples.resize(count);
-      for (auto& sample : class_plan.samples) sample = reader.u64();
-    }
-  } catch (const std::runtime_error&) {
-    throw std::runtime_error("decode_plan: truncated plan encoding");
-  }
+  plan.per_class.resize(reader.count(sizeof(std::uint64_t)));
+  plan.class_of.assign(num_samples, -1);
   for (std::size_t c = 0; c < plan.per_class.size(); ++c) {
-    for (data::SampleId sample : plan.per_class[c].samples) {
-      plan.class_of.emplace(sample, static_cast<int>(c));
+    const std::uint64_t count = reader.u64();
+    if (count > reader.remaining() / sizeof(std::uint64_t)) {
+      throw std::runtime_error("decode_plan: sample count exceeds the encoding");
     }
+    auto& samples = plan.per_class[c].samples;
+    samples.resize(count);
+    for (auto& sample : samples) {
+      sample = reader.u64();
+      if (sample >= num_samples) {
+        throw std::runtime_error("decode_plan: sample id outside the dataset");
+      }
+      if (plan.class_of[sample] >= 0) {
+        throw std::runtime_error("decode_plan: sample planned twice");
+      }
+      plan.class_of[sample] = static_cast<std::int32_t>(c);
+    }
+  }
+  if (reader.remaining() != 0) {
+    throw std::runtime_error("decode_plan: trailing bytes after the plan");
   }
   return plan;
-}
-
-LocationIndex::LocationIndex(const std::vector<CachePlan>& plans, int self_rank)
-    : self_rank_(self_rank) {
-  for (std::size_t rank = 0; rank < plans.size(); ++rank) {
-    for (const auto& [sample, cls] : plans[rank].class_of) {
-      index_[sample].push_back((static_cast<std::uint64_t>(rank) << 32) |
-                               static_cast<std::uint32_t>(cls));
-    }
-  }
-  // Deterministic holder order regardless of hash-map iteration.
-  for (auto& [sample, holders] : index_) {
-    std::sort(holders.begin(), holders.end());
-  }
-}
-
-std::optional<LocationIndex::RemoteLocation> LocationIndex::best_remote(
-    data::SampleId sample) const {
-  const auto it = index_.find(sample);
-  if (it == index_.end()) return std::nullopt;
-  // Fastest class wins; among holders with the fastest class, hash
-  // (sample, self rank) to spread load across peers.
-  int best_class = -1;
-  std::vector<int> best_peers;
-  for (std::uint64_t packed : it->second) {
-    const int rank = static_cast<int>(packed >> 32);
-    const int cls = static_cast<int>(packed & 0xffffffffULL);
-    if (rank == self_rank_) continue;
-    if (best_class == -1 || cls < best_class) {
-      best_class = cls;
-      best_peers.clear();
-    }
-    if (cls == best_class) best_peers.push_back(rank);
-  }
-  if (best_peers.empty()) return std::nullopt;
-  // Full splitmix-style mix: weak mixing here measurably skews the
-  // remote-fetch load across equal holders.
-  std::uint64_t h = sample ^ (static_cast<std::uint64_t>(self_rank_) << 32);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  const int peer = best_peers[h % best_peers.size()];
-  return RemoteLocation{peer, best_class};
-}
-
-std::vector<LocationIndex::Holder> LocationIndex::holders(data::SampleId sample) const {
-  std::vector<Holder> result;
-  const auto it = index_.find(sample);
-  if (it == index_.end()) return result;
-  result.reserve(it->second.size());
-  for (std::uint64_t packed : it->second) {
-    result.push_back(Holder{static_cast<int>(packed >> 32),
-                            static_cast<int>(packed & 0xffffffffULL)});
-  }
-  return result;
-}
-
-bool LocationIndex::cached_anywhere(data::SampleId sample) const {
-  return index_.contains(sample);
-}
-
-std::pair<std::size_t, std::size_t> LocationIndex::drop_rank(int rank) {
-  std::size_t remapped = 0;
-  std::size_t pfs_only = 0;
-  for (auto it = index_.begin(); it != index_.end();) {
-    auto& holders = it->second;
-    const std::size_t before = holders.size();
-    std::erase_if(holders, [rank](std::uint64_t packed) {
-      return static_cast<int>(packed >> 32) == rank;
-    });
-    if (holders.size() == before) {
-      ++it;
-    } else if (holders.empty()) {
-      ++pfs_only;
-      it = index_.erase(it);
-    } else {
-      ++remapped;
-      ++it;
-    }
-  }
-  return {remapped, pfs_only};
 }
 
 }  // namespace nopfs::core

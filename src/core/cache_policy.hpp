@@ -9,16 +9,21 @@
 // caches the dataset with the hot copies in the fast tiers of exactly the
 // workers that want them.
 //
+// Equal frequencies are common (X ~ Binomial(E, 1/N) takes few values), so
+// the tie-break decides what the last slots of every cache hold.  A worker
+// ranks the samples it consumes in epoch 0 first among equals.  Every sample
+// has exactly one epoch-0 consumer and every worker knows it, so ties split
+// across workers and the caches fill with distinct samples before any
+// sample is held twice (DESIGN.md Sec. 12, "plan tie-break").
+//
 // Prefetch *order* within a class follows the access stream R (optimal
 // prefetching, Rule 1): samples are fetched in order of their first access.
 //
-// The LocationIndex is each worker's replica of "who caches what", built
-// from an allgather of the per-worker assignments during setup.
+// Every worker's replica of "who caches what" is core::FillSchedule
+// (core/fetch_router.hpp), built from an allgather of these plans.
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/access_stream.hpp"
@@ -38,67 +43,34 @@ struct ClassPlan {
 /// A worker's complete cache plan.
 struct CachePlan {
   std::vector<ClassPlan> per_class;  ///< index = storage class (0-based = class 1..J)
-  std::unordered_map<data::SampleId, int> class_of;  ///< sample -> class index
+  /// Per sample id: the class caching it, -1 when not planned.  Ids past
+  /// the end are not planned.
+  std::vector<std::int32_t> class_of;
 
   /// Storage class caching `sample`, or nullopt.
   [[nodiscard]] std::optional<int> find(data::SampleId sample) const;
 
+  /// Appends `sample` to class `cls`'s prefetch order (growing per_class and
+  /// class_of as needed); `sample` must not be planned yet.
+  void add(data::SampleId sample, int cls, double size_mb = 0.0);
+
   [[nodiscard]] std::size_t total_samples() const;
 };
 
-/// Computes worker `rank`'s cache plan: frequency-ordered fill of classes
-/// 1..J (fastest first) bounded by capacity, prefetch order by first access.
+/// Computes worker `rank`'s cache plan: fill of classes 1..J (fastest
+/// first) bounded by capacity, in order of frequency, then "consumed by
+/// `rank` in epoch 0", then sample id; prefetch order by first access.
 [[nodiscard]] CachePlan compute_cache_plan(const AccessStreamGenerator& gen, int rank,
                                            const data::Dataset& dataset,
                                            const tiers::NodeParams& node);
 
 /// Compact wire encoding of a plan for the setup allgather.
 [[nodiscard]] std::vector<std::uint8_t> encode_plan(const CachePlan& plan);
-[[nodiscard]] CachePlan decode_plan(const std::vector<std::uint8_t>& bytes);
 
-/// Every worker's view of where each sample will be cached cluster-wide.
-class LocationIndex {
- public:
-  LocationIndex() = default;
-
-  /// Builds from all workers' plans (indexed by rank).
-  LocationIndex(const std::vector<CachePlan>& plans, int self_rank);
-
-  /// Fastest remote holder of `sample`: (peer, class).  Among holders with
-  /// the same class the peer is picked by deterministic hashing of
-  /// (sample, self rank) to spread remote-fetch load (paper Sec. 5.1:
-  /// "samples should be well-distributed among workers").
-  struct RemoteLocation {
-    int peer = -1;
-    int storage_class = -1;
-  };
-  [[nodiscard]] std::optional<RemoteLocation> best_remote(data::SampleId sample) const;
-
-  /// All holders of `sample` (including self), for diagnostics/tests.
-  struct Holder {
-    int rank = -1;
-    int storage_class = -1;
-  };
-  [[nodiscard]] std::vector<Holder> holders(data::SampleId sample) const;
-
-  /// True if any worker (anyone, incl. self) plans to cache `sample`.
-  [[nodiscard]] bool cached_anywhere(data::SampleId sample) const;
-
-  /// Incremental rebalance after rank `rank` leaves the world (elastic
-  /// membership, DESIGN.md Sec. 11): removes every holding of that rank
-  /// and nothing else.  Entries naming surviving ranks are untouched, so
-  /// best_remote() re-resolves deterministically among the survivors;
-  /// samples whose only holder was the dead rank are erased so
-  /// cached_anywhere() degrades them to the PFS fallback.  Returns
-  /// {samples still cached by a survivor, samples now PFS-only}.
-  std::pair<std::size_t, std::size_t> drop_rank(int rank);
-
-  [[nodiscard]] int self_rank() const noexcept { return self_rank_; }
-
- private:
-  // sample -> packed holders (rank in high 32 bits, class in low 32).
-  std::unordered_map<data::SampleId, std::vector<std::uint64_t>> index_;
-  int self_rank_ = -1;
-};
+/// Decodes a peer's plan over a dataset of `num_samples` samples.  Throws
+/// std::runtime_error on a truncated or oversized encoding, trailing bytes,
+/// a sample id >= `num_samples`, or a sample planned twice.
+[[nodiscard]] CachePlan decode_plan(const std::vector<std::uint8_t>& bytes,
+                                    std::uint64_t num_samples);
 
 }  // namespace nopfs::core

@@ -27,7 +27,8 @@ std::uint64_t mix(std::uint64_t h) noexcept {
 }  // namespace
 
 FillSchedule::FillSchedule(const std::vector<CachePlan>& plans,
-                           const AccessStreamGenerator& generator, int self_rank) {
+                           const AccessStreamGenerator& generator, int self_rank)
+    : self_rank_(self_rank) {
   const StreamConfig& config = generator.config();
   const std::uint64_t f = config.num_samples;
 
@@ -157,16 +158,79 @@ bool FillSchedule::likely_cached(int peer, data::SampleId sample,
   return epoch >= 1 || fill_pos_[sample] < self_progress;
 }
 
+std::optional<FillSchedule::RemoteLocation> FillSchedule::best_remote(
+    data::SampleId sample) const noexcept {
+  if (sample >= reader_.size()) return std::nullopt;
+  // Fastest class wins; among holders with the fastest class, hash
+  // (sample, self rank) to spread load across peers.
+  const std::uint32_t begin = offsets_[sample];
+  const std::uint32_t end = offsets_[sample + 1];
+  std::int32_t best_class = -1;
+  std::uint64_t equal = 0;
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const Holding& h = holdings_[i];
+    if (h.rank == self_rank_) continue;
+    if (best_class == -1 || h.cls < best_class) {
+      best_class = h.cls;
+      equal = 0;
+    }
+    if (h.cls == best_class) ++equal;
+  }
+  if (equal == 0) return std::nullopt;
+  std::uint64_t pick =
+      mix(sample ^ (static_cast<std::uint64_t>(self_rank_) << 32)) % equal;
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const Holding& h = holdings_[i];
+    if (h.rank == self_rank_ || h.cls != best_class) continue;
+    if (pick-- == 0) return RemoteLocation{h.rank, h.cls};
+  }
+  return std::nullopt;  // unreachable: `equal` holders match
+}
+
+std::vector<FillSchedule::Holder> FillSchedule::holders(data::SampleId sample) const {
+  std::vector<Holder> result;
+  if (sample >= reader_.size()) return result;
+  for (std::uint32_t i = offsets_[sample]; i < offsets_[sample + 1]; ++i) {
+    result.push_back(Holder{holdings_[i].rank, holdings_[i].cls});
+  }
+  return result;
+}
+
+bool FillSchedule::cached_anywhere(data::SampleId sample) const noexcept {
+  return sample < reader_.size() && offsets_[sample] != offsets_[sample + 1];
+}
+
+std::pair<std::size_t, std::size_t> FillSchedule::drop_rank(int rank) {
+  std::size_t remapped = 0;
+  std::size_t pfs_only = 0;
+  std::uint32_t kept = 0;
+  for (std::size_t sample = 0; sample < reader_.size(); ++sample) {
+    const std::uint32_t begin = offsets_[sample];
+    const std::uint32_t end = offsets_[sample + 1];
+    offsets_[sample] = kept;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      if (holdings_[i].rank != rank) holdings_[kept++] = holdings_[i];
+    }
+    if (kept == offsets_[sample] && end != begin) {
+      ++pfs_only;
+    } else if (kept - offsets_[sample] != end - begin) {
+      ++remapped;
+    }
+    if (reader_[sample] == rank) reader_[sample] = -1;
+  }
+  if (!offsets_.empty()) offsets_.back() = kept;
+  holdings_.resize(kept);
+  return {remapped, pfs_only};
+}
+
 FetchRouter::FetchRouter(int rank, const PerfModel& model, const CachePlan& self_plan,
-                         const LocationIndex& locations, const FillSchedule& schedule,
-                         MetadataStore& metadata,
+                         const FillSchedule& schedule, MetadataStore& metadata,
                          std::vector<std::unique_ptr<StorageBackend>>& backends,
                          SampleSource& source, net::Transport* transport,
                          tiers::WorkerDevices* devices, RouterOptions options)
     : rank_(rank),
       model_(model),
       self_plan_(self_plan),
-      locations_(locations),
       schedule_(schedule),
       metadata_(metadata),
       backends_(backends),
@@ -256,7 +320,7 @@ Bytes FetchRouter::fetch_from_source(data::SampleId sample, double size_mb, int 
       return !options_.use_watermark_heuristic ||
              schedule_.likely_cached(peer, sample, class_progress(cls), epoch);
     };
-    if (const auto remote = locations_.best_remote(sample); remote.has_value()) {
+    if (const auto remote = schedule_.best_remote(sample); remote.has_value()) {
       if (ready(remote->peer, remote->storage_class)) {
         remote_cls = remote->storage_class;
         remote_peer = remote->peer;

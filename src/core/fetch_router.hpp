@@ -25,7 +25,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/access_stream.hpp"
@@ -38,8 +40,9 @@
 
 namespace nopfs::core {
 
-/// The clairvoyant fill schedule (DESIGN.md Sec. 12): who reads each
-/// planned sample from the PFS, and when every other holder's copy appears.
+/// The clairvoyant fill schedule (DESIGN.md Sec. 12): who caches each
+/// sample, who reads it from the PFS, and when every other holder's copy
+/// appears.  It is every worker's replica of "who caches what".
 ///
 /// Every rank derives the same table from the allgathered plans and the
 /// seed's epoch orders.  The designated reader d(S) of a sample is its
@@ -53,9 +56,9 @@ class FillSchedule {
   FillSchedule() = default;
 
   /// Builds the schedule from every worker's plan (indexed by rank) and the
-  /// access-stream generator; `self_rank` selects whose fill order is kept.
-  /// Throws std::invalid_argument when a plan names a sample outside the
-  /// dataset.
+  /// access-stream generator; `self_rank` selects whose fill order is kept
+  /// and who counts as remote.  Throws std::invalid_argument when a plan
+  /// names a sample outside the dataset.
   FillSchedule(const std::vector<CachePlan>& plans,
                const AccessStreamGenerator& generator, int self_rank);
 
@@ -87,6 +90,38 @@ class FillSchedule {
   [[nodiscard]] bool likely_cached(int peer, data::SampleId sample,
                                    std::uint64_t self_progress, int epoch) const noexcept;
 
+  /// Fastest remote holder of `sample`: (peer, class).  Among holders with
+  /// the same class the peer is picked by deterministic hashing of
+  /// (sample, self rank) to spread remote-fetch load (paper Sec. 5.1:
+  /// "samples should be well-distributed among workers").
+  struct RemoteLocation {
+    int peer = -1;
+    int storage_class = -1;
+  };
+  [[nodiscard]] std::optional<RemoteLocation> best_remote(
+      data::SampleId sample) const noexcept;
+
+  /// All holders of `sample` (including self) in rank order, for
+  /// diagnostics and tests.
+  struct Holder {
+    int rank = -1;
+    int storage_class = -1;
+  };
+  [[nodiscard]] std::vector<Holder> holders(data::SampleId sample) const;
+
+  /// True if any worker (anyone, incl. self) plans to cache `sample`.
+  [[nodiscard]] bool cached_anywhere(data::SampleId sample) const noexcept;
+
+  /// Incremental rebalance after rank `rank` leaves the world (elastic
+  /// membership, DESIGN.md Sec. 11): removes every holding of that rank,
+  /// in place, and nothing else.  Holdings of surviving ranks are
+  /// untouched, so best_remote() re-resolves deterministically among the
+  /// survivors; samples whose only holder was the dead rank degrade to the
+  /// PFS fallback (cached_anywhere() is false), and samples it was to read
+  /// lose their designated reader (reader() is -1).  Returns {samples still
+  /// cached by a survivor, samples now PFS-only}.
+  std::pair<std::size_t, std::size_t> drop_rank(int rank);
+
  private:
   struct Holding {
     std::int32_t rank = -1;
@@ -96,10 +131,11 @@ class FillSchedule {
   [[nodiscard]] const Holding* find(int rank, data::SampleId sample) const noexcept;
   [[nodiscard]] Holding* find(int rank, data::SampleId sample) noexcept;
 
+  int self_rank_ = -1;
   std::vector<std::int32_t> reader_;      ///< per sample; -1 = unplanned
   std::vector<std::uint32_t> fill_pos_;   ///< per sample: index in reader's fill order
   std::vector<std::uint32_t> offsets_;    ///< per sample: start of its holdings (CSR)
-  std::vector<Holding> holdings_;
+  std::vector<Holding> holdings_;         ///< of one sample: in rank order
   std::vector<std::vector<data::SampleId>> fill_order_;  ///< self, per class
 };
 
@@ -134,8 +170,7 @@ class FetchRouter {
   /// `devices` and `pfs` may be nullptr for untimed tests; `transport` may
   /// be nullptr when use_remote is false or world size is 1.
   FetchRouter(int rank, const PerfModel& model, const CachePlan& self_plan,
-              const LocationIndex& locations, const FillSchedule& schedule,
-              MetadataStore& metadata,
+              const FillSchedule& schedule, MetadataStore& metadata,
               std::vector<std::unique_ptr<StorageBackend>>& backends,
               SampleSource& source, net::Transport* transport,
               tiers::WorkerDevices* devices, RouterOptions options);
@@ -190,7 +225,6 @@ class FetchRouter {
   int rank_;
   const PerfModel& model_;
   const CachePlan& self_plan_;
-  const LocationIndex& locations_;
   const FillSchedule& schedule_;
   MetadataStore& metadata_;
   std::vector<std::unique_ptr<StorageBackend>>& backends_;

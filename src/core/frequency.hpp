@@ -47,7 +47,9 @@ using FrequencyMap = std::unordered_map<data::SampleId, std::uint32_t>;
                                                       double delta);
 
 /// Sorted (descending) frequencies of one worker with deterministic
-/// tie-breaking by sample id — the order the cache policy fills tiers in.
+/// tie-breaking by sample id.  This is not the cache policy's fill order:
+/// compute_cache_plan (core/cache_policy.hpp) ranks the samples the worker
+/// consumes in epoch 0 first among equal frequencies.
 [[nodiscard]] std::vector<std::pair<data::SampleId, std::uint32_t>> sorted_by_frequency(
     const FrequencyMap& freqs);
 

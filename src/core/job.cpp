@@ -61,17 +61,19 @@ void Job::start() {
   plan_ = compute_cache_plan(generator_, rank_, dataset_, system_.node);
 
   // Exchange plans so every worker knows where every sample will live.
+  std::vector<CachePlan> all_plans;
   if (transport_ != nullptr && transport_->world_size() > 1) {
     auto gathered = transport_->allgather(encode_plan(plan_));
-    all_plans_.reserve(gathered.size());
-    for (auto& bytes : gathered) all_plans_.push_back(decode_plan(bytes));
+    all_plans.reserve(gathered.size());
+    for (auto& bytes : gathered) {
+      all_plans.push_back(decode_plan(bytes, dataset_.num_samples()));
+    }
   } else {
-    all_plans_.push_back(plan_);
+    all_plans.push_back(plan_);
   }
-  locations_ = LocationIndex(all_plans_, rank_);
-  // Clairvoyant fill: who reads each sample from the PFS, and when every
-  // other holder's peer copy appears.
-  schedule_ = FillSchedule(all_plans_, generator_, rank_);
+  // Clairvoyant fill: who caches each sample, who reads it from the PFS,
+  // and when every other holder's peer copy appears.
+  schedule_ = FillSchedule(all_plans, generator_, rank_);
 
   // Storage backends for classes 1..J.
   backends_.clear();
@@ -90,7 +92,7 @@ void Job::start() {
   staging_ = std::make_unique<StagingBuffer>(
       util::mb_to_bytes(system_.node.staging.capacity_mb));
 
-  router_ = std::make_unique<FetchRouter>(rank_, model_, plan_, locations_, schedule_,
+  router_ = std::make_unique<FetchRouter>(rank_, model_, plan_, schedule_,
                                           metadata_, backends_, source_, transport_,
                                           devices_, options_.router);
 

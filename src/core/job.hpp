@@ -142,8 +142,6 @@ class Job {
   PerfModel model_;
   std::vector<data::SampleId> stream_;  ///< this worker's R
   CachePlan plan_;
-  std::vector<CachePlan> all_plans_;
-  LocationIndex locations_;
   FillSchedule schedule_;
   MetadataStore metadata_;
   std::vector<std::unique_ptr<StorageBackend>> backends_;

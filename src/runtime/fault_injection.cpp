@@ -2,8 +2,8 @@
 
 namespace nopfs::runtime {
 
-RebalanceReport rebalance_after_leave(core::LocationIndex& index, int dead_rank) {
-  const auto [remapped, pfs_only] = index.drop_rank(dead_rank);
+RebalanceReport rebalance_after_leave(core::FillSchedule& schedule, int dead_rank) {
+  const auto [remapped, pfs_only] = schedule.drop_rank(dead_rank);
   return RebalanceReport{remapped, pfs_only};
 }
 

@@ -21,7 +21,7 @@
 #include <cstddef>
 #include <thread>
 
-#include "core/cache_policy.hpp"
+#include "core/fetch_router.hpp"
 #include "scenario/fault_plan.hpp"
 #include "tiers/device_iface.hpp"
 
@@ -86,11 +86,11 @@ struct RebalanceReport {
 };
 
 /// Incremental cache-plan rebalance after `dead_rank` leaves: drops only
-/// that rank's holdings from the location index (survivor entries are
+/// that rank's holdings from the fill schedule (survivor entries are
 /// byte-identical, so their prefetch plans need no recomputation) and
 /// reports how many samples were remapped to a surviving holder vs.
 /// degraded to the PFS fallback.  Delivery completeness holds either way:
 /// a fetch that misses every remaining holder falls back to the PFS.
-RebalanceReport rebalance_after_leave(core::LocationIndex& index, int dead_rank);
+RebalanceReport rebalance_after_leave(core::FillSchedule& schedule, int dead_rank);
 
 }  // namespace nopfs::runtime

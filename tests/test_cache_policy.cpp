@@ -1,11 +1,15 @@
-// Tests for the frequency-ordered cache plans and the cluster-wide
-// location index (paper Sec. 5.1).
+// Tests for the frequency-ordered cache plans, their wire codec, and the
+// cluster-wide holder lookups of the fill schedule (paper Sec. 5.1).
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "core/cache_policy.hpp"
+#include "core/fetch_router.hpp"
+#include "net/wire.hpp"
 #include "util/units.hpp"
 
 namespace nopfs::core {
@@ -82,8 +86,8 @@ TEST(CachePlan, OnlyAccessedSamplesPlanned) {
   const CachePlan plan = compute_cache_plan(gen, 3, dataset, node);
   const FrequencyMap freqs = count_worker_frequencies(gen, 3);
   EXPECT_EQ(plan.total_samples(), freqs.size());  // capacity ample
-  for (const auto& [sample, cls] : plan.class_of) {
-    EXPECT_TRUE(freqs.contains(sample));
+  for (const auto& class_plan : plan.per_class) {
+    for (const auto sample : class_plan.samples) EXPECT_TRUE(freqs.contains(sample));
   }
 }
 
@@ -121,7 +125,7 @@ TEST(CachePlan, EncodeDecodeRoundTrip) {
   const AccessStreamGenerator gen(make_config(300, 3, 3, 30));
   const auto dataset = uniform_dataset(300, 0.5f);
   const CachePlan plan = compute_cache_plan(gen, 1, dataset, node_with(20.0, 30.0));
-  const CachePlan decoded = decode_plan(encode_plan(plan));
+  const CachePlan decoded = decode_plan(encode_plan(plan), 300);
   ASSERT_EQ(decoded.per_class.size(), plan.per_class.size());
   for (std::size_t c = 0; c < plan.per_class.size(); ++c) {
     EXPECT_EQ(decoded.per_class[c].samples, plan.per_class[c].samples);
@@ -135,10 +139,105 @@ TEST(CachePlan, DecodeRejectsTruncated) {
   const CachePlan plan = compute_cache_plan(gen, 0, dataset, node_with(20.0, 0.0));
   auto bytes = encode_plan(plan);
   bytes.resize(bytes.size() / 2);
-  EXPECT_THROW((void)decode_plan(bytes), std::runtime_error);
+  EXPECT_THROW((void)decode_plan(bytes, 100), std::runtime_error);
 }
 
-TEST(LocationIndex, HoldersAndRemoteLookup) {
+TEST(CachePlan, DecodeRejectsOversizedCounts) {
+  // A class count or sample count the remaining bytes cannot hold is
+  // rejected before it sizes anything.
+  std::vector<std::uint8_t> classes;
+  net::wire::put_u32(classes, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_THROW((void)decode_plan(classes, 100), std::runtime_error);
+  std::vector<std::uint8_t> samples;
+  net::wire::put_u32(samples, 1);
+  net::wire::put_u64(samples, std::uint64_t{1} << 62);
+  net::wire::put_u64(samples, 3);
+  EXPECT_THROW((void)decode_plan(samples, 100), std::runtime_error);
+}
+
+TEST(CachePlan, DecodeRejectsSamplesOutsideTheDataset) {
+  CachePlan plan;
+  plan.add(3, 0);
+  plan.add(100, 0);
+  EXPECT_NO_THROW((void)decode_plan(encode_plan(plan), 101));
+  EXPECT_THROW((void)decode_plan(encode_plan(plan), 100), std::runtime_error);
+  plan.add(3, 1);  // one sample in two classes
+  EXPECT_THROW((void)decode_plan(encode_plan(plan), 101), std::runtime_error);
+  auto trailing = encode_plan(CachePlan{});
+  trailing.push_back(0);
+  EXPECT_THROW((void)decode_plan(trailing, 101), std::runtime_error);
+}
+
+/// The shape of perfbench's threaded-pfs-bound workload: 960 samples of
+/// 0.2 +- 0.05 MB, 4 ranks caching 8 MB RAM + 16 MB SSD each, 4 epochs,
+/// batch 2 per rank.  The four caches hold about half the dataset.
+struct PfsBoundShape {
+  explicit PfsBoundShape(std::uint64_t seed)
+      : generator(config(seed)),
+        dataset(data::Dataset::synthetic(
+            data::DatasetSpec{"pfs-bound", 960, 0.2, 0.05, 1}, seed)) {
+    for (int r = 0; r < 4; ++r) {
+      plans.push_back(compute_cache_plan(generator, r, dataset, node_with(8.0, 16.0)));
+    }
+  }
+
+  static StreamConfig config(std::uint64_t seed) {
+    StreamConfig c = make_config(960, 4, 4, 8);
+    c.seed = seed * 7919 + 1;
+    return c;
+  }
+
+  AccessStreamGenerator generator;
+  data::Dataset dataset;
+  std::vector<CachePlan> plans;
+};
+
+TEST(CachePlan, TiesFillTheCachesWithDistinctSamples) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const PfsBoundShape shape(seed);
+    std::set<data::SampleId> distinct;
+    double summed_mb = 0.0;
+    for (const auto& plan : shape.plans) {
+      for (const auto& class_plan : plan.per_class) {
+        summed_mb += class_plan.planned_mb;
+        distinct.insert(class_plan.samples.begin(), class_plan.samples.end());
+      }
+    }
+    double distinct_mb = 0.0;
+    for (const auto sample : distinct) distinct_mb += shape.dataset.size_mb(sample);
+    ASSERT_GT(summed_mb, 80.0) << "seed " << seed;
+    EXPECT_GE(distinct_mb, 0.97 * summed_mb) << "seed " << seed;
+  }
+}
+
+TEST(CachePlan, EpochZeroConsumersPlanTheirSamples) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const PfsBoundShape shape(seed);
+    const auto order = shape.generator.epoch_order(0);
+    std::size_t planned = 0;
+    std::size_t by_consumer = 0;
+    for (std::uint64_t g = 0; g < order.size(); ++g) {
+      const data::SampleId s = order[g];
+      bool any = false;
+      for (const auto& plan : shape.plans) any = any || plan.find(s).has_value();
+      if (!any) continue;
+      ++planned;
+      const int consumer = shape.generator.owner_of_position(g);
+      const auto& plan = shape.plans[static_cast<std::size_t>(consumer)];
+      if (plan.find(s).has_value()) ++by_consumer;
+    }
+    ASSERT_GT(planned, 300u) << "seed " << seed;
+    EXPECT_GE(static_cast<double>(by_consumer), 0.85 * static_cast<double>(planned))
+        << "seed " << seed;
+  }
+}
+
+/// A generator for hand-built plans: `n` workers over `f` samples.
+AccessStreamGenerator small_generator(std::uint64_t f, int n) {
+  return AccessStreamGenerator(make_config(f, n, 1, static_cast<std::uint64_t>(n)));
+}
+
+TEST(FillScheduleHolders, HoldersAndRemoteLookup) {
   const int n = 4;
   const AccessStreamGenerator gen(make_config(500, n, 6, 40));
   const auto dataset = uniform_dataset(500, 0.1f);
@@ -147,8 +246,8 @@ TEST(LocationIndex, HoldersAndRemoteLookup) {
   for (int w = 0; w < n; ++w) {
     plans.push_back(compute_cache_plan(gen, w, dataset, node));
   }
-  const LocationIndex index(plans, /*self=*/0);
-  for (const auto& [sample, cls] : plans[1].class_of) {
+  const FillSchedule index(plans, gen, /*self_rank=*/0);
+  for (const auto sample : plans[1].per_class[0].samples) {
     EXPECT_TRUE(index.cached_anywhere(sample));
     const auto holders = index.holders(sample);
     const bool has_worker1 = std::any_of(
@@ -157,49 +256,41 @@ TEST(LocationIndex, HoldersAndRemoteLookup) {
   }
 }
 
-TEST(LocationIndex, BestRemoteExcludesSelf) {
+TEST(FillScheduleHolders, BestRemoteExcludesSelf) {
   CachePlan mine;
-  mine.per_class.resize(1);
-  mine.per_class[0].samples = {7};
-  mine.class_of[7] = 0;
+  mine.add(7, 0);
   std::vector<CachePlan> plans = {mine, CachePlan{}};
   plans[1].per_class.resize(1);
-  const LocationIndex index(plans, /*self=*/0);
+  const FillSchedule index(plans, small_generator(9, 2), /*self_rank=*/0);
   // Only self caches sample 7 -> no remote source.
   EXPECT_FALSE(index.best_remote(7).has_value());
   EXPECT_FALSE(index.best_remote(8).has_value());
 }
 
-TEST(LocationIndex, BestRemotePrefersFasterClass) {
+TEST(FillScheduleHolders, BestRemotePrefersFasterClass) {
   CachePlan slow;  // worker 0: class 1
-  slow.per_class.resize(2);
-  slow.per_class[1].samples = {5};
-  slow.class_of[5] = 1;
+  slow.add(5, 1);
   CachePlan fast;  // worker 1: class 0
   fast.per_class.resize(2);
-  fast.per_class[0].samples = {5};
-  fast.class_of[5] = 0;
-  const LocationIndex index({slow, fast}, /*self=*/2);
+  fast.add(5, 0);
+  const FillSchedule index({slow, fast, CachePlan{}}, small_generator(6, 3),
+                           /*self_rank=*/2);
   const auto remote = index.best_remote(5);
   ASSERT_TRUE(remote.has_value());
   EXPECT_EQ(remote->peer, 1);
   EXPECT_EQ(remote->storage_class, 0);
 }
 
-TEST(LocationIndex, LoadSpreadAcrossEqualHolders) {
+TEST(FillScheduleHolders, LoadSpreadAcrossEqualHolders) {
   // Many samples held by the same two peers in the same class: different
   // samples should hash to different peers.
   CachePlan a;
   CachePlan b;
-  a.per_class.resize(1);
-  b.per_class.resize(1);
   for (data::SampleId k = 0; k < 64; ++k) {
-    a.per_class[0].samples.push_back(k);
-    a.class_of[k] = 0;
-    b.per_class[0].samples.push_back(k);
-    b.class_of[k] = 0;
+    a.add(k, 0);
+    b.add(k, 0);
   }
-  const LocationIndex index({a, b, CachePlan{}}, /*self=*/2);
+  const FillSchedule index({a, b, CachePlan{}}, small_generator(64, 3), /*self_rank=*/2);
   std::set<int> peers;
   for (data::SampleId k = 0; k < 64; ++k) {
     peers.insert(index.best_remote(k)->peer);

@@ -201,10 +201,7 @@ TEST(Rebalance, DropRankRemovesOnlyTheDeadRanksHoldings) {
   const auto plan_for = [](std::vector<std::pair<data::SampleId, int>> entries) {
     core::CachePlan plan;
     plan.per_class.resize(2);
-    for (const auto& [sample, cls] : entries) {
-      plan.per_class[static_cast<std::size_t>(cls)].samples.push_back(sample);
-      plan.class_of[sample] = cls;
-    }
+    for (const auto& [sample, cls] : entries) plan.add(sample, cls);
     return plan;
   };
   const std::vector<core::CachePlan> plans = {
@@ -212,7 +209,12 @@ TEST(Rebalance, DropRankRemovesOnlyTheDeadRanksHoldings) {
       plan_for({{2, 0}, {3, 0}, {4, 1}}),
       plan_for({{5, 0}}),
   };
-  core::LocationIndex index(plans, /*self_rank=*/0);
+  core::StreamConfig stream;
+  stream.num_samples = 6;
+  stream.num_workers = 3;
+  stream.global_batch = 3;
+  const core::AccessStreamGenerator generator(stream);
+  core::FillSchedule index(plans, generator, /*self_rank=*/0);
   ASSERT_TRUE(index.cached_anywhere(3));
   ASSERT_TRUE(index.cached_anywhere(4));
 
@@ -229,6 +231,10 @@ TEST(Rebalance, DropRankRemovesOnlyTheDeadRanksHoldings) {
   const auto holders = index.holders(2);
   ASSERT_EQ(holders.size(), 1u);
   EXPECT_EQ(holders[0].rank, 0);
+  // Nothing is left for the dead rank to read from the PFS.
+  for (data::SampleId sample = 0; sample < 6; ++sample) {
+    EXPECT_NE(index.reader(sample), 1);
+  }
   // A survivor's remote resolution is untouched by the rebalance.
   const auto remote = index.best_remote(5);
   ASSERT_TRUE(remote.has_value());

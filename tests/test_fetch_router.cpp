@@ -39,14 +39,13 @@ struct RouterFixture {
     system.num_workers = static_cast<int>(plans.size());
     model = std::make_unique<PerfModel>(system);
     self_plan = plans[0];
-    locations = LocationIndex(plans, 0);
     generator =
         std::make_unique<AccessStreamGenerator>(stream_config(system.num_workers));
     schedule = FillSchedule(plans, *generator, 0);
     metadata = std::make_unique<MetadataStore>(1);
     backends.clear();
     backends.push_back(std::make_unique<MemoryBackend>(100.0));
-    return std::make_unique<FetchRouter>(0, *model, self_plan, locations, schedule,
+    return std::make_unique<FetchRouter>(0, *model, self_plan, schedule,
                                          *metadata, backends, source, transport,
                                          nullptr, options);
   }
@@ -64,10 +63,7 @@ struct RouterFixture {
   static CachePlan plan_with(std::initializer_list<data::SampleId> samples) {
     CachePlan plan;
     plan.per_class.resize(1);
-    for (const auto sample : samples) {
-      plan.per_class[0].samples.push_back(sample);
-      plan.class_of[sample] = 0;
-    }
+    for (const auto sample : samples) plan.add(sample, 0);
     return plan;
   }
 
@@ -76,7 +72,6 @@ struct RouterFixture {
   SyntheticPfsSource source;
   std::unique_ptr<PerfModel> model;
   CachePlan self_plan;
-  LocationIndex locations;
   std::unique_ptr<AccessStreamGenerator> generator;
   FillSchedule schedule;
   std::unique_ptr<MetadataStore> metadata;
@@ -224,9 +219,7 @@ TEST(FetchRouter, DesignatedReaderGoesToThePfs) {
   std::vector<data::SampleId> all(64);
   for (data::SampleId k = 0; k < 64; ++k) all[k] = k;
   CachePlan both;
-  both.per_class.resize(1);
-  both.per_class[0].samples = all;
-  for (const auto k : all) both.class_of[k] = 0;
+  for (const auto k : all) both.add(k, 0);
   RouterOptions options;
   options.use_watermark_heuristic = false;
   auto router = fix.make_router({both, both}, options, transports[0].get());
@@ -242,22 +235,19 @@ TEST(FetchRouter, DesignatedReaderGoesToThePfs) {
 }
 
 /// Three workers: rank 0 plans nothing, ranks 1 and 2 plan every sample.
-/// Returns a sample whose hashed remote holder (LocationIndex::best_remote
+/// Returns a sample whose hashed remote holder (FillSchedule::best_remote
 /// from rank 0) is not its designated reader, so that holder copies the
 /// sample lazily in a later epoch.
 data::SampleId lazy_hashed_sample(std::vector<CachePlan>& plans) {
   std::vector<data::SampleId> all(64);
   for (data::SampleId k = 0; k < 64; ++k) all[k] = k;
   CachePlan both;
-  both.per_class.resize(1);
-  both.per_class[0].samples = all;
-  for (const auto k : all) both.class_of[k] = 0;
+  for (const auto k : all) both.add(k, 0);
   plans = {RouterFixture::plan_with({}), both, both};
-  const LocationIndex index(plans, 0);
   const AccessStreamGenerator generator(RouterFixture::stream_config(3));
   const FillSchedule schedule(plans, generator, 0);
   for (data::SampleId k = 0; k < 64; ++k) {
-    if (index.best_remote(k)->peer != schedule.reader(k)) return k;
+    if (schedule.best_remote(k)->peer != schedule.reader(k)) return k;
   }
   ADD_FAILURE() << "no sample with a lazy hashed holder";
   return 0;

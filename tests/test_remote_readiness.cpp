@@ -46,13 +46,13 @@ tiers::NodeParams node_holding(std::uint64_t f, double fraction) {
   return node;
 }
 
-/// A 4-rank job whose caches hold the dataset twice over: each node caches
-/// half of it.
+/// A 4-rank job in which each node caches `fraction` of the dataset; by
+/// default half, so the caches hold the dataset twice over.
 struct Shape {
-  Shape()
+  explicit Shape(double fraction = 0.5)
       : generator(make_config(800, kRanks, 5, 16)),
         dataset("uniform", std::vector<float>(800, 1.0f)) {
-    const auto node = node_holding(800, 0.5);
+    const auto node = node_holding(800, fraction);
     for (int r = 0; r < kRanks; ++r) {
       plans.push_back(compute_cache_plan(generator, r, dataset, node));
     }
@@ -107,7 +107,11 @@ TEST(FillSchedule, ReaderIsThePlanningConsumerElseAHolder) {
 }
 
 TEST(FillSchedule, HashedReadsSpreadAcrossHolders) {
-  const Shape shape;
+  // At half the dataset per node every epoch-0 consumer plans its own
+  // samples (the plan ranks them first among equal frequencies), leaving
+  // no hashed pick; at a fifth the consumers' rarest samples spill to
+  // other holders.
+  const Shape shape(0.2);
   const FillSchedule schedule(shape.plans, shape.generator, 0);
   const auto order = shape.generator.epoch_order(0);
   std::vector<int> hashed(kRanks, 0);
@@ -154,7 +158,9 @@ TEST(FillSchedule, FillOrdersPartitionThePlannedSamplesInNeedOrder) {
   }
   std::set<data::SampleId> planned;
   for (const auto& plan : shape.plans) {
-    for (const auto& [sample, cls] : plan.class_of) planned.insert(sample);
+    for (const auto& class_plan : plan.per_class) {
+      planned.insert(class_plan.samples.begin(), class_plan.samples.end());
+    }
   }
   EXPECT_EQ(filled.size(), planned.size()) << "each planned sample is read once";
   EXPECT_EQ(std::set<data::SampleId>(filled.begin(), filled.end()), planned);
@@ -169,7 +175,9 @@ TEST(FillSchedule, OtherHoldersCopyAtTheirFirstAccess) {
     shape.generator.for_each_access(r, [&](const Access& a) {
       if (first[a.sample] < 0) first[a.sample] = a.epoch;
     });
-    for (const auto& [sample, cls] : plan.class_of) {
+    for (data::SampleId sample = 0; sample < plan.class_of.size(); ++sample) {
+      const int cls = plan.class_of[sample];
+      if (cls < 0) continue;
       EXPECT_EQ(schedule.class_at(r, sample), cls);
       if (schedule.reader(sample) == r) {
         EXPECT_EQ(schedule.copy_epoch(r, sample), 0);
@@ -199,11 +207,9 @@ TEST(FillSchedule, LikelyCachedFollowsTheSchedule) {
   ASSERT_LT(s, 8u) << "the seed must have a sample both workers access";
   const data::SampleId t = s == 0 ? 1 : 0;
   std::vector<CachePlan> plans(2);
-  for (auto& plan : plans) plan.per_class.resize(1);
-  plans[0].per_class[0].samples = {s, t};
-  plans[0].class_of = {{s, 0}, {t, 0}};
-  plans[1].per_class[0].samples = {s};
-  plans[1].class_of = {{s, 0}};
+  plans[0].add(s, 0);
+  plans[0].add(t, 0);
+  plans[1].add(s, 0);
   const FillSchedule schedule(plans, generator, 0);
   EXPECT_EQ(schedule.reader(t), 0);  // sole holder
   const int reader = schedule.reader(s);

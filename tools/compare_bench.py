@@ -33,6 +33,12 @@ Key classification (schema 2: a flat ``results`` map of
   over the recorded micro-critpath dependence graph, edges visited per
   second with the CSR warm — a regression means what-if sweeps got
   slower per cell.
+  ``micro-core.cache_plan_accesses_per_s`` is compute_cache_plan's build
+  rate: one rank's plan over a stream of 1,024,000 accesses (F = 512k,
+  2 workers, 4 epochs), accesses per second, best of 3 -- the largest
+  compute of a Job's set-up (one walk of the stream plus a counting sort
+  over flat per-sample arrays).  It is advisory until the baseline is
+  refreshed with it (a key missing from the baseline never fails).
 * ADVISORY — wall-clock and speedup keys: on 1-core CI runners the sweep
   parallel/serial ratio is ~1 and wall-clock jitter dominates, so these are
   printed but never fail the job.
